@@ -198,6 +198,36 @@ def _enumerate_basis(cutoff: int):
     return basis
 
 
+def _choose(n: np.ndarray, k: int) -> np.ndarray:
+    """Elementwise binomial(n, k) of a nonnegative integer array."""
+    out = np.ones_like(n)
+    for j in range(k):
+        out = out * (n - j)
+    return out // math.factorial(k)
+
+
+def _rank(occ) -> np.ndarray:
+    """Basis positions of (N, 4) occupation rows, in closed form.
+
+    The combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): with total
+    T and rest R = T - n1, the position is
+    C(T+4, 4) - C(R+3, 3) + C(R+2, 2) - C(R-n2+2, 2) + n3, i.e. all states
+    up to shell T, less those of shell T whose n1 is not smaller, plus
+    those with this n1 and a smaller n2, plus n3.  Rows must lie in the
+    basis; nothing here checks that.
+    """
+    occ = np.asarray(occ, dtype=np.int64)
+    total = occ.sum(axis=1)
+    rest = total - occ[:, 0]
+    return (
+        _choose(total + 4, 4)
+        - _choose(rest + 3, 3)
+        + _choose(rest + 2, 2)
+        - _choose(rest - occ[:, 1] + 2, 2)
+        + occ[:, 2]
+    )
+
+
 class FockSpace:
     """Occupation basis of 4 bosonic modes with total quanta <= cutoff.
 
@@ -219,11 +249,13 @@ class FockSpace:
         self.basis = tuple(_enumerate_basis(cutoff))
         self.occupations = np.array(self.basis, dtype=np.int64)
         self.occupations.setflags(write=False)
-        self._index = {state: i for i, state in enumerate(self.basis)}
 
     def index_of(self, state) -> int:
-        """Basis position of an occupation tuple."""
-        return self._index[tuple(int(n) for n in state)]
+        """Basis position of an occupation tuple; KeyError if it is not in the basis."""
+        state = tuple(int(n) for n in state)
+        if len(state) != N_MODES or min(state) < 0 or sum(state) > self.cutoff:
+            raise KeyError(state)
+        return int(_rank([state])[0])
 
     def safe_indices(self) -> np.ndarray:
         """Indices of states with total quanta below the cutoff.
@@ -240,44 +272,62 @@ class FockSpace:
         """Diagonal operator counting total occupation."""
         return SparseOperator.from_diagonal(self.occupations.sum(axis=1).astype(float))
 
-    def annihilator(self, r: int) -> SparseOperator:
-        """a_r: maps |.. n_r ..> to sqrt(n_r) |.. n_r - 1 ..>."""
-        k = _mode_index(r)
-        rows, cols, vals = [], [], []
-        for i, state in enumerate(self.basis):
-            n = state[k]
-            if n:
-                lowered = state[:k] + (n - 1,) + state[k + 1 :]
-                rows.append(self._index[lowered])
-                cols.append(i)
-                vals.append(math.sqrt(n))
-        if not vals:
+    def _operator(self, rows, cols, values) -> SparseOperator:
+        """Operator from entry arrays; no entries give the zero operator."""
+        if len(values) == 0:
             return SparseOperator.zero(self.dimension)
         mat = sparse.csr_array(
-            (np.asarray(vals, dtype=complex), (rows, cols)),
+            (np.asarray(values, dtype=complex), (rows, cols)),
             shape=(self.dimension, self.dimension),
         )
         return SparseOperator(mat)
 
+    def annihilator(self, r: int) -> SparseOperator:
+        """a_r: maps |.. n_r ..> to sqrt(n_r) |.. n_r - 1 ..>."""
+        k = _mode_index(r)
+        cols = np.flatnonzero(self.occupations[:, k])
+        lowered = self.occupations[cols]
+        values = np.sqrt(lowered[:, k].astype(float))
+        lowered[:, k] -= 1
+        return self._operator(_rank(lowered), cols, values)
+
     def creator(self, r: int) -> SparseOperator:
         """a_r^+, the adjoint of a_r.  Annihilates the top total-quanta shell."""
         return self.annihilator(r).dagger()
+
+    def _tau_entries(self, r: int, s: int):
+        """(rows, cols, values) of tau_rs in normal-ordered form.
+
+        For r == s that is the diagonal n_r + 1/2.  Otherwise it is
+        a_r^+ a_s, which moves one quantum from mode s to mode r and keeps
+        the total, so every image stays in the basis and the entries equal
+        those of the untruncated operator.  The two square roots stay
+        separate factors: sqrt((n_r + 1) n_s) rounds differently, and the
+        values must match the product of the truncated ladder matrices.
+        """
+        k, j = _mode_index(r), _mode_index(s)
+        if k == j:
+            diagonal = np.arange(self.dimension)
+            return diagonal, diagonal, self.occupations[:, k] + 0.5
+        cols = np.flatnonzero(self.occupations[:, j])
+        moved = self.occupations[cols]
+        values = np.sqrt(moved[:, k] + 1.0) * np.sqrt(moved[:, j].astype(float))
+        moved[:, k] += 1
+        moved[:, j] -= 1
+        return _rank(moved), cols, values
 
     def tau(self, r: int, s: int) -> SparseOperator:
         """Symmetrized bilinear (1/2){a_r^+, a_s} projected to the truncated basis.
 
         Built in normal-ordered form: a_r^+ a_s plus 1/2 on the diagonal
         when r == s.  The normal-ordered product preserves the total-quanta
-        shell, so composing the truncated factors already equals the
-        projection of the untruncated operator; the diagonal case is
-        written out directly so its entries are exact halves.
+        shell, so it equals the projection of the untruncated operator;
+        its entries are written out directly from the occupations.
         """
-        _mode_index(r)
-        _mode_index(s)
+        rows, cols, values = self._tau_entries(r, s)
         if r == s:
-            occ = self.occupations[:, r - 1].astype(float) + 0.5
-            return SparseOperator.from_diagonal(occ)
-        return self.creator(r) @ self.annihilator(s)
+            return SparseOperator.from_diagonal(values)
+        return self._operator(rows, cols, values)
 
 
 @dataclass(frozen=True)
@@ -317,21 +367,20 @@ TETRAD_BILINEARS = {
 }
 
 
-def _bilinear_combination(space: FockSpace, terms) -> SparseOperator:
-    acc = None
-    for coeff, r, s in terms:
-        op = space.tau(r, s) * coeff
-        acc = op if acc is None else acc + op
-    return acc
-
-
 def tetrad_component(space: FockSpace, name: str) -> SparseOperator:
     """One named component of the operator tetrad (t0, z1..z3, x1..x3, y1..y3)."""
     try:
         terms = TETRAD_BILINEARS[name]
     except KeyError:
         raise ValueError(f"unknown tetrad component {name!r}") from None
-    return _bilinear_combination(space, terms)
+    rows, cols, values = zip(*(space._tau_entries(r, s) for _, r, s in terms))
+    scaled = [complex(coeff) * v for (coeff, _, _), v in zip(terms, values)]
+    if all(r == s for _, r, s in terms):
+        # summed in table order, the same rounding as adding the tau matrices
+        return SparseOperator.from_diagonal(sum(scaled))
+    # off-diagonal terms of one component move quanta between different mode
+    # pairs, so their positions are disjoint and nothing is summed
+    return space._operator(np.concatenate(rows), np.concatenate(cols), np.concatenate(scaled))
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,8 +430,12 @@ def coherent_state(
     The weight the truncation discards from the untruncated state is the
     Poisson tail of the total intensity sum_r |alpha_r|^2; if that deficit
     exceeds max_deficit the state is refused as TruncationTooLossyError.
+    A non-finite scale is refused as ValueError.
     """
-    alphas = float(scale) * amps.as_array()
+    scale = float(scale)
+    if not math.isfinite(scale):
+        raise ValueError(f"coherent scale {scale!r} is not finite")
+    alphas = scale * amps.as_array()
     sq = _sqrt_factorials(space.cutoff)
     powers = np.arange(space.cutoff + 1)
     tables = [alpha**powers / sq for alpha in alphas]

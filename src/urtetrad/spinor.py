@@ -77,8 +77,8 @@ class GroupElement:
     """A point of U(2): complex pair (a, b) with |a|^2 + |b|^2 = 1, plus a phase.
 
     Raises NonUnitError when (a, b) is farther than 1e-9 from the unit
-    sphere; nearer input is renormalized exactly onto it.  The phase is
-    wrapped to [0, 2*pi).
+    sphere or not finite; nearer input is renormalized exactly onto it.
+    The phase must be finite and is wrapped to [0, 2*pi).
     """
 
     a: complex
@@ -88,8 +88,12 @@ class GroupElement:
     def __post_init__(self):
         a = complex(self.a)
         b = complex(self.b)
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ValueError(f"phase phi = {phi!r} is not finite")
         norm = abs(a) ** 2 + abs(b) ** 2
-        if abs(norm - 1.0) > ADMISSION_TOL:
+        # written so that a NaN norm fails the gate too
+        if not abs(norm - 1.0) <= ADMISSION_TOL:
             raise NonUnitError(f"|a|^2 + |b|^2 = {norm!r} is not 1 within {ADMISSION_TOL}")
         if abs(norm - 1.0) > _RENORM_SKIP:
             s = math.sqrt(norm)
@@ -97,7 +101,7 @@ class GroupElement:
             b /= s
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "phi", _wrap_phase(float(self.phi)))
+        object.__setattr__(self, "phi", _wrap_phase(phi))
 
     def su2_matrix(self) -> np.ndarray:
         """The 2x2 unitary ((a, b), (-b*, a*)) without the phase factor."""
@@ -123,7 +127,7 @@ class QuaternionPoint:
     def __post_init__(self):
         comps = [float(self.w), float(self.x), float(self.y), float(self.z)]
         norm = sum(c * c for c in comps)
-        if abs(norm - 1.0) > ADMISSION_TOL:
+        if not abs(norm - 1.0) <= ADMISSION_TOL:
             raise NonUnitError(f"w^2 + x^2 + y^2 + z^2 = {norm!r} is not 1 within {ADMISSION_TOL}")
         if abs(norm - 1.0) > _RENORM_SKIP:
             s = math.sqrt(norm)

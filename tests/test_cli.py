@@ -61,6 +61,22 @@ def test_tetrad_nonunit_exit2(capsys):
     assert "not 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--quat", "nan", "0", "0", "0", "--real"),
+        ("--quat", "inf", "0", "0", "0", "--real"),
+        ("--a", "nan", "0", "--b", "0", "0", "--null"),
+        ("--quat", "1", "0", "0", "0", "--phi", "nan", "--real"),
+        ("--quat", "1", "0", "0", "0", "--phi", "inf", "--null"),
+    ],
+)
+def test_tetrad_nonfinite_exit2(capsys, argv):
+    code, out, _ = run_cli(capsys, "tetrad", *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_tetrad_usage_errors(capsys):
     code, _, _ = run_cli(capsys, "tetrad", "--a", "1", "0", "--b", "0", "0")
     assert code == 2  # missing --null/--real
@@ -156,6 +172,17 @@ def test_fock_bad_operator_exit2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "fock", "--cutoff", "1", "--op", "tau", "1", "9", "--matrix")
     assert code == 2
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_fock_nonfinite_scale_exit2(capsys, scale):
+    code, out, err = run_cli(
+        capsys, "fock", "--cutoff", "4", "--op", "z1",
+        "--expect-coherent", "1", "0", "0", "0", "0", scale,
+    )
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err
 
 
 def test_fock_truncation_exit1(capsys):

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from urtetrad.cli import main
 from urtetrad.fock import (
     TETRAD_BILINEARS,
     BadModeError,
@@ -13,6 +15,7 @@ from urtetrad.fock import (
     FockSpace,
     SparseOperator,
     TruncationTooLossyError,
+    _rank,
     coherent_bilinear_value,
     coherent_state,
     expectation,
@@ -43,6 +46,14 @@ def test_basis_index_roundtrip():
     space = FockSpace(3)
     for i, state in enumerate(space.basis):
         assert space.index_of(state) == i
+
+
+def test_closed_form_rank_matches_basis_order():
+    space = FockSpace(12)
+    np.testing.assert_array_equal(_rank(space.occupations), np.arange(space.dimension))
+    for outside in ((0, 0, 0, -1), (13, 0, 0, 0), (3, 4, 6, 0), (0, 0, 0)):
+        with pytest.raises(KeyError):
+            space.index_of(outside)
 
 
 def test_cutoff_bound():
@@ -336,3 +347,67 @@ def test_classical_limit_small_sweep():
             # matrix expectation also agrees with the analytic moment formula
             analytic = coherent_bilinear_value(amps, 0.5, TETRAD_BILINEARS[name])
             assert abs(val - analytic) < 1e-6
+
+
+# sha256 of the concatenated stdout of `fock --cutoff C --op OP --matrix` for
+# C = 0..6, recorded before the operators were built by index arithmetic;
+# the triplet listing is part of the CLI contract and must stay byte-identical
+MATRIX_OUTPUT_SHA256 = {
+    "t0": "a13b4e93eb8815cc8232c38f58fac446dabc2a40c7a62f01b49d0acd15f12d2a",
+    "z1": "2129c15079d3b2a23070a42536acaa599d31f375075009d4eb9daed41b99c0ff",
+    "z2": "6ed71b0f14dab2a695f306ba9c5b32f4abadf992b1a8c58d64c523f9739f6fb2",
+    "z3": "33f97321d8f3010bd37e42d37122d6e9b4ae57a3c8f5228b46375763fd7dc7e1",
+    "x1": "5dcae5de3a61ad5cc9ccbe5164c1b555f4a4884aa8ee325f092c82734401cd59",
+    "x2": "df91f57b77c035fe38e46c04fbf37ecf18b972321a1b3948c39625a7721edf2d",
+    "x3": "874169dae518d744402fb5146fc32882e518f799911dd208400f06b2d86cbdbb",
+    "y1": "b590b1beb7da7e2c595158000db6c0f6ee008f6e0194b80a2a3fd5991221624b",
+    "y2": "a7fba4eacd39101bcbba468c8ea0d8b0865fd2dadb3bfaf03e38b99f7115db3f",
+    "y3": "1404882c79590307512cd5252ddf37dce09e9acff360d54b2e0fb02fa6b5b3b5",
+    "tau 1 1": "ae74e053406e2312a04ed6663235fab311756acd53b7c4261c7177bc117d1ceb",
+    "tau 1 2": "5c945008531fa3ed21fcd89445b5a17d839c7e18042565de0d7e1b4500433a05",
+    "tau 1 3": "1b05143ccd032ed7282fb9367270771d89eb9bbac52dadca3add0aa2aa40f11d",
+    "tau 1 4": "b99ef1c8fa5b3777381330ac4015bf0635add380a0fd2082eb0a2fbb786f7bfd",
+    "tau 2 1": "fdad492781aefd41255e4ea984d51e95bd37f5c851a796ee09f9ffdbd89fa1c0",
+    "tau 2 2": "d72bde2e8c79074966e01ce58d44ece023fdec1d7d50011dd2aa6dd3ac5d4b12",
+    "tau 2 3": "76662c36e6ce21689fbc8b550eae5f2f93af11e703feff46f5bd006e131465ad",
+    "tau 2 4": "1ca7e8b61b51da795a49c4999717e7bbcff337b0e361c16d6bce9a60fd8b5949",
+    "tau 3 1": "41ebd58c8a9eddb23afe3fc187891a92e136df94d41bce951fbe33e14764149b",
+    "tau 3 2": "f7d8ddbd08e8722b6f389987a451ff8d4dc1982feb4772281b96cc130aeaf99f",
+    "tau 3 3": "b952f02a197e01989db3f6db00565c202bfe60868addd1c82e85e4db9f31f686",
+    "tau 3 4": "14ff4705cbfa460824a9a0ce2231b1701172bac4fd2c600dbeccda7098ce76a4",
+    "tau 4 1": "5eb26115950641bd6b5df40a5de617ae14092e59e44080a4e8785f3b5f0fbc0c",
+    "tau 4 2": "5bf6608b9dc761f6eb8e9ad93e49b8a684948bfdfbd3cf5dea345d4a1438a02f",
+    "tau 4 3": "4b901015ee8feddf63b3feacd733a7f118eaec3e325e5e1202f31bb2d64710cc",
+    "tau 4 4": "518cd41bc0f936a0fb8562a2d8ddceafcc271147355d61ab3fe7516c03097ae5",
+}
+
+# sha256 over data, indices and indptr bytes of the ten components at cutoff
+# 30, in TETRAD_BILINEARS order, recorded at the same time
+CUTOFF30_CSR_SHA256 = "9370824b4af21f2aaadc552959c14af9c61e55b13dd9595a32f3efdb9c2109af"
+
+
+@pytest.mark.parametrize("op", sorted(MATRIX_OUTPUT_SHA256))
+def test_matrix_output_pinned(op, capsys):
+    digest = hashlib.sha256()
+    for cutoff in range(7):
+        assert main(["fock", "--cutoff", str(cutoff), "--op", *op.split(), "--matrix"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == MATRIX_OUTPUT_SHA256[op]
+
+
+def test_cutoff30_components_pinned():
+    space = FockSpace(30)
+    digest = hashlib.sha256()
+    for name in TETRAD_BILINEARS:
+        mat = tetrad_component(space, name).matrix
+        for part in (mat.data, mat.indices, mat.indptr):
+            digest.update(part.tobytes())
+    assert digest.hexdigest() == CUTOFF30_CSR_SHA256
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+def test_coherent_nonfinite_scale_rejected(scale):
+    space = FockSpace(2)
+    amps = BispinorAmplitudes.from_element(GroupElement(1, 0))
+    with pytest.raises(ValueError, match="not finite"):
+        coherent_state(space, amps, scale)

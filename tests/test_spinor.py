@@ -46,6 +46,28 @@ def test_non_unit_rejected():
         GroupElement(1.0, 1.0, 0.0)
 
 
+NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("slot", range(5))
+def test_group_element_nonfinite_rejected(bad, slot):
+    # slots: Re a, Im a, Re b, Im b, phi
+    args = [1.0, 0.0, 0.0, 0.0, 0.0]
+    args[slot] = bad
+    with pytest.raises(ValueError):
+        GroupElement(complex(args[0], args[1]), complex(args[2], args[3]), args[4])
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("slot", range(4))
+def test_quaternion_nonfinite_rejected(bad, slot):
+    comps = [1.0, 0.0, 0.0, 0.0]
+    comps[slot] = bad
+    with pytest.raises(NonUnitError):
+        QuaternionPoint(*comps)
+
+
 def test_admission_renormalizes():
     s = 1.0 + 4e-10
     g = GroupElement(0.6 * s, 0.8j * s)
