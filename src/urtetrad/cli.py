@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,6 +36,8 @@ def _emit(obj, out):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite float {float(obj)!r} as JSON")
         out.append(format(float(obj), ".17g"))
     elif isinstance(obj, dict):
         out.append("{")
@@ -57,7 +60,10 @@ def _emit(obj, out):
 
 
 def dumps17(obj) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-significant-digit floats."""
+    """Deterministic JSON: insertion-ordered keys, 17-significant-digit floats.
+
+    Raises ValueError for a NaN or infinite float, which JSON cannot hold.
+    """
     out = []
     _emit(obj, out)
     return "".join(out)
@@ -119,12 +125,6 @@ def _cmd_tetrad(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
-        return 2
-    if args.cutoff < 0:
-        print("error: --cutoff must be nonnegative", file=sys.stderr)
-        return 2
     report = run_verification(
         suite=args.suite,
         samples=args.samples,

@@ -4,6 +4,7 @@ of ur-alternatives."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -39,14 +40,16 @@ class ExpansionModel:
     c: float
 
     def __post_init__(self):
-        if not self.r0 >= 0.0:
-            raise ValueError(f"initial radius must be nonnegative, got {self.r0!r}")
-        if not self.c > 0.0:
-            raise ValueError(f"limiting velocity must be positive, got {self.c!r}")
+        if not (math.isfinite(self.r0) and self.r0 >= 0.0):
+            raise ValueError(f"initial radius must be finite and nonnegative, got {self.r0!r}")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError(f"limiting velocity must be finite and positive, got {self.c!r}")
 
 
 def radius_at(model: ExpansionModel, epoch: float) -> float:
     """Curvature radius at the given epoch; strictly increasing in the epoch."""
+    if not math.isfinite(epoch):
+        raise ValueError(f"epoch must be finite, got {epoch!r}")
     if epoch < 0.0:
         raise NegativeEpochError(f"epoch must be nonnegative, got {epoch!r}")
     return model.r0 + model.c * epoch

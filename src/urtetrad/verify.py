@@ -1,15 +1,17 @@
 """Seeded randomized verification sweeps over the package invariants.
 
-Each sweep draws its inputs from one shared generator, so a report is a
+Each suite draws its inputs from one shared generator, so a report is a
 pure function of (suite, samples, seed, tolerance, cutoff) and two runs
 with the same flags agree byte for byte.  Records carry the worst observed
 deviation; exact identities (ones that hold in floating point, not merely
-in algebra) carry tolerance 0.
+in algebra) carry tolerance 0.  A non-finite deviation fails its record
+and is reported as null.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -22,15 +24,79 @@ SUITES = ("spinor", "tetrad", "fock", "all")
 
 _MODES = (1, 2, 3, 4)
 
+# Tolerance classes: the --tol value, the classical-limit tolerance, or a
+# fixed number (0.0 for identities that are exact in floating point).
+_TOL, _CLASSICAL, _EXACT = "tol", "classical", 0.0
 
-def _record(name, samples, max_dev, tol):
+# suite -> {record name: tolerance class}, in report order
+_RECORDS = {
+    "spinor": {
+        "unitarity_norm": _TOL,
+        "chart_roundtrip": _EXACT,
+        "dyad_self_contraction": _TOL,
+        "dyad_cross_contraction": _TOL,
+        "contraction_antisymmetry": _TOL,
+        "contraction_bilinearity": _TOL,
+        "lowering_twice_negates": _EXACT,
+        "raise_lower_roundtrip": _EXACT,
+        "epsilon_metric_identities": _TOL,
+    },
+    "tetrad": {
+        "null_vector_nullity": _TOL,
+        "frame_inner_product_table": _TOL,
+        "metric_reconstruction": _TOL,
+        "metric_reconstruction_imaginary": _TOL,
+        "general_vs_direct_reconstruction": _TOL,
+        "real_frame_reconstruction": _TOL,
+        "m_n_component_symmetry": _TOL,
+        "frame_metric_self_inverse": _TOL,
+        "bilinear_phase_invariance": _TOL,
+        "real_tetrad_vs_polynomials": _TOL,
+        "rotation_orthonormality": _TOL,
+        "rotation_determinant": _TOL,
+        "rotation_double_cover": _EXACT,
+        "tangent_radial_orthogonality": _TOL,
+        "tangent_orthonormality": _TOL,
+        "real_tetrad_identity_point": 1e-15,
+    },
+    "fock": {
+        "canonical_commutators_safe_subspace": _TOL,
+        "lowering_commutators_vanish": _TOL,
+        "raising_commutators_vanish": _TOL,
+        "bilinear_adjoint_symmetry": _TOL,
+        "bilinear_vs_anticommutator": _TOL,
+        "tetrad_components_hermitian": _TOL,
+        "time_component_zero_point": _EXACT,
+        "spatial_zero_point_cancellation": _TOL,
+        "classical_limit_spatial": _CLASSICAL,
+        "classical_limit_time": _CLASSICAL,
+        "coherent_phase_covariance": _TOL,
+    },
+}
+
+
+def _record(name, devs, tol):
+    """One report record; `devs` holds one deviation per sample."""
+    worst = float(np.max(devs))  # np.max keeps a NaN, where max() would drop it
+    finite = math.isfinite(worst)
     return {
         "name": name,
-        "samples": int(samples),
-        "max_deviation": float(max_dev),
+        "samples": len(devs),
+        "max_deviation": worst if finite else None,
         "tolerance": float(tol),
-        "pass": bool(float(max_dev) <= float(tol)),
+        "pass": finite and worst <= tol,
     }
+
+
+def _worst(values):
+    """Largest magnitude among the values, NaN if any is NaN."""
+    return np.abs(values).max()
+
+
+def _worst_part(values):
+    """Largest magnitude among the real and imaginary parts of the values."""
+    values = np.asarray(values, dtype=complex)
+    return _worst([values.real, values.imag])
 
 
 def _random_spinor(rng):
@@ -41,181 +107,87 @@ def _random_spinor(rng):
 # ---------------------------------------------------------------- spinor
 
 
-def _spinor_records(rng, samples, tol):
-    records = []
+def _spinor_fixed():
+    eps, eye = spinor.EPSILON, np.eye(2)
+    yield "epsilon_metric_identities", _worst([eps + eps.T, eps @ eps.T - eye, eps @ eps + eye])
 
-    dev = 0.0
-    for _ in range(samples):
-        g = spinor.random_group_element(rng)
-        dev = max(dev, abs(abs(g.a) ** 2 + abs(g.b) ** 2 - 1.0))
-    records.append(_record("unitarity_norm", samples, dev, tol))
 
-    dev = 0.0
-    for _ in range(samples):
-        g = spinor.random_group_element(rng)
-        g2 = spinor.from_quaternion(spinor.to_quaternion(g), g.phi)
-        dev = max(dev, abs(g2.a - g.a), abs(g2.b - g.b), abs(g2.phi - g.phi))
-    records.append(_record("chart_roundtrip", samples, dev, 0.0))
+def _spinor_draw(rng):
+    contract = spinor.contract
+    g = spinor.random_group_element(rng)
+    yield "unitarity_norm", abs(abs(g.a) ** 2 + abs(g.b) ** 2 - 1.0)
+    g2 = spinor.from_quaternion(spinor.to_quaternion(g), g.phi)
+    yield "chart_roundtrip", _worst([g2.a - g.a, g2.b - g.b, g2.phi - g.phi])
+    d = spinor.dyad_from_element(g)
+    yield "dyad_self_contraction", _worst([contract(d.u, d.u), contract(d.v, d.v)])
+    yield "dyad_cross_contraction", _worst([contract(d.v, d.u) - 1.0, contract(d.u, d.v) + 1.0])
 
-    dev_self = 0.0
-    dev_cross = 0.0
-    for _ in range(samples):
-        d = spinor.dyad_from_element(spinor.random_group_element(rng))
-        dev_self = max(
-            dev_self,
-            abs(spinor.contract(d.u, d.u)),
-            abs(spinor.contract(d.v, d.v)),
-        )
-        dev_cross = max(
-            dev_cross,
-            abs(spinor.contract(d.v, d.u) - 1.0),
-            abs(spinor.contract(d.u, d.v) + 1.0),
-        )
-    records.append(_record("dyad_self_contraction", samples, dev_self, tol))
-    records.append(_record("dyad_cross_contraction", samples, dev_cross, tol))
-
-    dev = 0.0
-    for _ in range(samples):
-        p, q = _random_spinor(rng), _random_spinor(rng)
-        dev = max(dev, abs(spinor.contract(p, q) + spinor.contract(q, p)))
-    records.append(_record("contraction_antisymmetry", samples, dev, tol))
-
-    dev = 0.0
-    for _ in range(samples):
-        p, p2, q = _random_spinor(rng), _random_spinor(rng), _random_spinor(rng)
-        al = complex(rng.standard_normal(), rng.standard_normal())
-        be = complex(rng.standard_normal(), rng.standard_normal())
-        combo = spinor.Spinor(al * p.c1 + be * p2.c1, al * p.c2 + be * p2.c2)
-        dev = max(
-            dev,
-            abs(
-                spinor.contract(combo, q)
-                - al * spinor.contract(p, q)
-                - be * spinor.contract(p2, q)
-            ),
-        )
-    records.append(_record("contraction_bilinearity", samples, dev, tol))
-
-    dev = 0.0
-    for _ in range(samples):
-        s = _random_spinor(rng)
-        once = spinor.lower_index(s)
-        twice = spinor.lower_index(spinor.Spinor(once.c1, once.c2))
-        dev = max(dev, abs(twice.c1 + s.c1), abs(twice.c2 + s.c2))
-    records.append(_record("lowering_twice_negates", samples, dev, 0.0))
-
-    dev = 0.0
-    for _ in range(samples):
-        s = _random_spinor(rng)
-        back = spinor.raise_index(spinor.lower_index(s))
-        dev = max(dev, abs(back.c1 - s.c1), abs(back.c2 - s.c2))
-    records.append(_record("raise_lower_roundtrip", samples, dev, 0.0))
-
-    eps = spinor.EPSILON
-    dev = max(
-        np.abs(eps + eps.T).max(),
-        np.abs(eps @ eps.T - np.eye(2)).max(),
-        np.abs(eps @ eps + np.eye(2)).max(),
+    p, p2, q = _random_spinor(rng), _random_spinor(rng), _random_spinor(rng)
+    yield "contraction_antisymmetry", abs(contract(p, q) + contract(q, p))
+    al, be = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    combo = spinor.Spinor(al * p.c1 + be * p2.c1, al * p.c2 + be * p2.c2)
+    yield "contraction_bilinearity", abs(
+        contract(combo, q) - al * contract(p, q) - be * contract(p2, q)
     )
-    records.append(_record("epsilon_metric_identities", 1, dev, tol))
-
-    return records
+    once = spinor.lower_index(p)
+    twice = spinor.lower_index(spinor.Spinor(once.c1, once.c2))
+    yield "lowering_twice_negates", _worst(twice.components() + p.components())
+    back = spinor.raise_index(once)
+    yield "raise_lower_roundtrip", _worst(back.components() - p.components())
 
 
 # ---------------------------------------------------------------- tetrad
 
 
-def _tetrad_records(rng, samples, tol):
-    records = []
+_IDENTITY_FRAME = ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 1.0, 0.0, 0.0],
+                   [0.0, 0.0, -1.0, 0.0])
 
-    dev_null = 0.0
-    dev_table = 0.0
-    dev_metric = 0.0
-    dev_imag = 0.0
-    dev_general = 0.0
-    dev_realframe = 0.0
-    dev_mn = 0.0
-    for _ in range(samples):
-        d = spinor.dyad_from_element(spinor.random_group_element(rng))
-        nt = tetrad.null_tetrad(d)
-        vecs = nt.vectors()
-        for v in vecs:
-            dev_null = max(dev_null, abs(tetrad.minkowski_inner(v, v)))
-        table = np.array([[tetrad.minkowski_inner(p, q) for q in vecs] for p in vecs])
-        dev_table = max(dev_table, np.abs(table - tetrad.NULL_FRAME_METRIC).max())
-        g = tetrad.reconstruct_metric(nt)
-        dev_metric = max(dev_metric, np.abs(g.real - tetrad.ETA).max())
-        dev_imag = max(dev_imag, np.abs(g.imag).max())
-        g2 = tetrad.reconstruct_metric_general(vecs, tetrad.NULL_FRAME_METRIC)
-        dev_general = max(dev_general, np.abs(g2 - g).max())
-        rt = tetrad.real_tetrad(d)
-        g3 = tetrad.reconstruct_metric_general(rt.vectors(), tetrad.ETA)
-        dev_realframe = max(dev_realframe, np.abs(g3.real - tetrad.ETA).max(), np.abs(g3.imag).max())
-        dev_mn = max(dev_mn, abs(nt.m[0] - nt.n[0]), np.abs(nt.m[1:] + nt.n[1:]).max())
-    records.append(_record("null_vector_nullity", samples, dev_null, tol))
-    records.append(_record("frame_inner_product_table", samples, dev_table, tol))
-    records.append(_record("metric_reconstruction", samples, dev_metric, tol))
-    records.append(_record("metric_reconstruction_imaginary", samples, dev_imag, tol))
-    records.append(_record("general_vs_direct_reconstruction", samples, dev_general, tol))
-    records.append(_record("real_frame_reconstruction", samples, dev_realframe, tol))
-    records.append(_record("m_n_component_symmetry", samples, dev_mn, tol))
 
+def _tetrad_fixed():
     fm = tetrad.NULL_FRAME_METRIC
-    dev = np.abs(fm @ fm - np.eye(4)).max()
-    records.append(_record("frame_metric_self_inverse", 1, dev, tol))
-
-    dev = 0.0
-    for _ in range(samples):
-        d = spinor.dyad_from_element(spinor.random_group_element(rng))
-        u = d.u.components()
-        v = d.v.components()
-        ph = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        pairs = ((v, u), (u, v), (v, v), (u, u))
-        for p, q in pairs:
-            base = tetrad.pauli_bilinear(p, q)
-            phased = tetrad.pauli_bilinear(ph * p, ph * q)
-            dev = max(dev, np.abs(phased - base).max())
-    records.append(_record("bilinear_phase_invariance", samples, dev, tol))
-
-    dev_oracle = 0.0
-    dev_orth = 0.0
-    dev_det = 0.0
-    dev_cover = 0.0
-    dev_radial = 0.0
-    dev_gram = 0.0
-    for _ in range(samples):
-        q = spinor.random_s3_point(rng)
-        rt = tetrad.real_tetrad(spinor.dyad_from_element(spinor.from_quaternion(q)))
-        rp = tetrad.real_tetrad_polynomials(q)
-        for a, b in zip(rt.vectors(), rp.vectors()):
-            dev_oracle = max(dev_oracle, np.abs(a - b).max())
-        rot = rt.dreibein()
-        dev_orth = max(dev_orth, np.abs(rot.T @ rot - np.eye(3)).max())
-        dev_det = max(dev_det, abs(np.linalg.det(rot) - 1.0))
-        rt_neg = tetrad.real_tetrad(spinor.dyad_from_element(spinor.from_quaternion(-q)))
-        for a, b in zip(rt.vectors(), rt_neg.vectors()):
-            dev_cover = max(dev_cover, np.abs(a - b).max())
-        frame = np.array(tetrad.tangent_frame_at(q))
-        dev_radial = max(dev_radial, np.abs(frame @ q.as_array()).max())
-        dev_gram = max(dev_gram, np.abs(frame @ frame.T - np.eye(3)).max())
-    records.append(_record("real_tetrad_vs_polynomials", samples, dev_oracle, tol))
-    records.append(_record("rotation_orthonormality", samples, dev_orth, tol))
-    records.append(_record("rotation_determinant", samples, dev_det, tol))
-    records.append(_record("rotation_double_cover", samples, dev_cover, 0.0))
-    records.append(_record("tangent_radial_orthogonality", samples, dev_radial, tol))
-    records.append(_record("tangent_orthonormality", samples, dev_gram, tol))
-
+    yield "frame_metric_self_inverse", _worst(fm @ fm - np.eye(4))
     ident = tetrad.real_tetrad(spinor.dyad_from_element(spinor.GroupElement(1.0, 0.0)))
-    expected = (
-        np.array([1.0, 0.0, 0.0, 0.0]),
-        np.array([0.0, 0.0, 0.0, -1.0]),
-        np.array([0.0, 1.0, 0.0, 0.0]),
-        np.array([0.0, 0.0, -1.0, 0.0]),
-    )
-    dev = max(np.abs(a - b).max() for a, b in zip(ident.vectors(), expected))
-    records.append(_record("real_tetrad_identity_point", 1, dev, 1e-15))
+    yield "real_tetrad_identity_point", _worst(np.subtract(ident.vectors(), _IDENTITY_FRAME))
 
-    return records
+
+def _tetrad_draw(rng):
+    eta = tetrad.ETA
+    q = spinor.random_s3_point(rng)
+    d = spinor.dyad_from_element(spinor.from_quaternion(q))
+    nt = tetrad.null_tetrad(d)
+    vecs = nt.vectors()
+    table = np.array([[tetrad.minkowski_inner(a, b) for b in vecs] for a in vecs])
+    yield "null_vector_nullity", _worst(np.diagonal(table))
+    yield "frame_inner_product_table", _worst(table - tetrad.NULL_FRAME_METRIC)
+    g = tetrad.reconstruct_metric(nt)
+    yield "metric_reconstruction", _worst(g.real - eta)
+    yield "metric_reconstruction_imaginary", _worst(g.imag)
+    g2 = tetrad.reconstruct_metric_general(vecs, tetrad.NULL_FRAME_METRIC)
+    yield "general_vs_direct_reconstruction", _worst(g2 - g)
+    rt = tetrad.real_tetrad(d)
+    yield "real_frame_reconstruction", _worst_part(
+        tetrad.reconstruct_metric_general(rt.vectors(), eta) - eta
+    )
+    # m^0 = n^0 and m^i = -n^i
+    yield "m_n_component_symmetry", _worst(nt.m + eta @ nt.n)
+
+    u, v = d.u.components(), d.v.components()
+    ph = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    # (l, l*, m, n) are the bilinears of (v, u), (u, v), (v, v) and (u, u)
+    phased = [tetrad.pauli_bilinear(ph * a, ph * b) for a, b in ((v, u), (u, v), (v, v), (u, u))]
+    yield "bilinear_phase_invariance", _worst(np.subtract(phased, vecs))
+
+    yield "real_tetrad_vs_polynomials", _worst(
+        np.subtract(rt.vectors(), tetrad.real_tetrad_polynomials(q).vectors())
+    )
+    rot = rt.dreibein()
+    yield "rotation_orthonormality", _worst(rot.T @ rot - np.eye(3))
+    yield "rotation_determinant", abs(np.linalg.det(rot) - 1.0)
+    rt_neg = tetrad.real_tetrad(spinor.dyad_from_element(spinor.from_quaternion(-q)))
+    yield "rotation_double_cover", _worst(np.subtract(rt.vectors(), rt_neg.vectors()))
+    frame = np.array(tetrad.tangent_frame_at(q))
+    yield "tangent_radial_orthogonality", _worst(frame @ q.as_array())
+    yield "tangent_orthonormality", _worst(frame @ frame.T - np.eye(3))
 
 
 # ------------------------------------------------------------------ fock
@@ -249,106 +221,67 @@ def _coherent_scale_for_cutoff(cutoff, bound=1e-10, cap=0.5):
     return math.sqrt(lo / 2.0)
 
 
-_SPATIAL_COMPONENTS = ("z1", "z2", "z3", "x1", "x2", "x3", "y1", "y2", "y3")
-
-
-def _fock_records(rng, samples, tol, cutoff, classical_tol):
-    records = []
+def _fock_checks(cutoff):
+    """The fixed operator checks at this cutoff, and the per-draw check."""
     space = fock.FockSpace(cutoff)
     eye = space.identity()
     ann = {r: space.annihilator(r) for r in _MODES}
     cre = {r: ann[r].dagger() for r in _MODES}
     safe = space.safe_indices()
+    taus = {(r, s): space.tau(r, s) for r in _MODES for s in _MODES}
+    comps = {name: fock.tetrad_component(space, name) for name in fock.TETRAD_BILINEARS}
+    scale = _coherent_scale_for_cutoff(cutoff)
 
-    dev = 0.0
-    for r in _MODES:
-        for s in _MODES:
+    def fixed():
+        for (r, s), tau in taus.items():
             comm = ann[r] @ cre[s] - cre[s] @ ann[r]
             if r == s:
                 comm = comm - eye
-            dev = max(dev, comm.max_abs(columns=safe))
-    records.append(_record("canonical_commutators_safe_subspace", 16, dev, tol))
+            yield "canonical_commutators_safe_subspace", comm.max_abs(columns=safe)
+            yield "lowering_commutators_vanish", (ann[r] @ ann[s] - ann[s] @ ann[r]).max_abs()
+            yield "raising_commutators_vanish", (cre[r] @ cre[s] - cre[s] @ cre[r]).max_abs()
+            yield "bilinear_adjoint_symmetry", (tau.dagger() - taus[s, r]).max_abs()
+            anticomm = 0.5 * (cre[r] @ ann[s] + ann[s] @ cre[r])
+            yield "bilinear_vs_anticommutator", (tau - anticomm).max_abs(columns=safe)
+        for name, op in comps.items():
+            yield "tetrad_components_hermitian", op.hermiticity_defect()
+            if name == "t0":
+                shifted = space.total_quanta() + 2.0 * eye
+                yield "time_component_zero_point", (op - shifted).max_abs()
+            else:
+                terms = [(cre[r] @ ann[s]) * coeff for coeff, r, s in fock.TETRAD_BILINEARS[name]]
+                normal_ordered = sum(terms[1:], terms[0])
+                yield "spatial_zero_point_cancellation", (op - normal_ordered).max_abs()
 
-    dev = 0.0
-    for r in _MODES:
-        for s in _MODES:
-            dev = max(dev, (ann[r] @ ann[s] - ann[s] @ ann[r]).max_abs())
-    records.append(_record("lowering_commutators_vanish", 16, dev, tol))
-
-    dev = 0.0
-    for r in _MODES:
-        for s in _MODES:
-            dev = max(dev, (cre[r] @ cre[s] - cre[s] @ cre[r]).max_abs())
-    records.append(_record("raising_commutators_vanish", 16, dev, tol))
-
-    taus = {(r, s): space.tau(r, s) for r in _MODES for s in _MODES}
-
-    dev = 0.0
-    for (r, s), op in taus.items():
-        dev = max(dev, (op.dagger() - taus[(s, r)]).max_abs())
-    records.append(_record("bilinear_adjoint_symmetry", 16, dev, tol))
-
-    dev = 0.0
-    for (r, s), op in taus.items():
-        anticomm = 0.5 * (cre[r] @ ann[s] + ann[s] @ cre[r])
-        dev = max(dev, (op - anticomm).max_abs(columns=safe))
-    records.append(_record("bilinear_vs_anticommutator", 16, dev, tol))
-
-    comps = {name: fock.tetrad_component(space, name) for name in fock.TETRAD_BILINEARS}
-
-    dev = max(op.hermiticity_defect() for op in comps.values())
-    records.append(_record("tetrad_components_hermitian", len(comps), dev, tol))
-
-    shifted = space.total_quanta() + 2.0 * eye
-    dev = (comps["t0"] - shifted).max_abs()
-    records.append(_record("time_component_zero_point", 1, dev, 0.0))
-
-    dev = 0.0
-    for name in _SPATIAL_COMPONENTS:
-        normal_ordered = None
-        for coeff, r, s in fock.TETRAD_BILINEARS[name]:
-            term = (cre[r] @ ann[s]) * coeff
-            normal_ordered = term if normal_ordered is None else normal_ordered + term
-        dev = max(dev, (comps[name] - normal_ordered).max_abs())
-    records.append(_record("spatial_zero_point_cancellation", len(_SPATIAL_COMPONENTS), dev, tol))
-
-    scale = _coherent_scale_for_cutoff(cutoff)
-    dev_spatial = 0.0
-    dev_time = 0.0
-    for _ in range(samples):
+    def draw(rng):
         g = spinor.random_group_element(rng)
         amps = fock.BispinorAmplitudes.from_element(g)
         state = fock.coherent_state(space, amps, scale)
+        values = {name: fock.expectation(op, state) for name, op in comps.items()}
         rt = tetrad.real_tetrad(spinor.dyad_from_element(g))
-        classical = {}
-        for label, vec in (("z", rt.z), ("x", rt.x), ("y", rt.y)):
-            for mu in (1, 2, 3):
-                classical[f"{label}{mu}"] = vec[mu]
-        for name in _SPATIAL_COMPONENTS:
-            val = fock.expectation(comps[name], state)
-            dev_spatial = max(
-                dev_spatial,
-                abs(val.real - scale * scale * classical[name]),
-                abs(val.imag),
-            )
-        t_val = fock.expectation(comps["t0"], state)
-        dev_time = max(dev_time, abs(t_val.real - (2.0 + 2.0 * scale * scale)), abs(t_val.imag))
-    records.append(_record("classical_limit_spatial", samples, dev_spatial, classical_tol))
-    records.append(_record("classical_limit_time", samples, dev_time, classical_tol))
-
-    dev = 0.0
-    for _ in range(samples):
-        g = spinor.random_group_element(rng)
-        amps = fock.BispinorAmplitudes.from_element(g)
+        axes = {"z": rt.z, "x": rt.x, "y": rt.y}
+        s2 = scale * scale
+        spatial = [val - s2 * axes[name[0]][int(name[1])]
+                   for name, val in values.items() if name != "t0"]
+        yield "classical_limit_spatial", _worst_part(spatial)
+        yield "classical_limit_time", _worst_part([values["t0"] - (2.0 + 2.0 * s2)])
         ph = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         phased = fock.BispinorAmplitudes(*(ph * amps.as_array()))
-        state = fock.coherent_state(space, amps, scale)
         state_ph = fock.coherent_state(space, phased, scale)
-        for op in comps.values():
-            dev = max(dev, abs(fock.expectation(op, state) - fock.expectation(op, state_ph)))
-    records.append(_record("coherent_phase_covariance", samples, dev, tol))
+        yield "coherent_phase_covariance", _worst(
+            [val - fock.expectation(comps[name], state_ph) for name, val in values.items()]
+        )
 
-    return records
+    return fixed(), draw
+
+
+def _suite_checks(suite, cutoff):
+    """(fixed checks, per-draw check) of one suite."""
+    if suite == "spinor":
+        return _spinor_fixed(), _spinor_draw
+    if suite == "tetrad":
+        return _tetrad_fixed(), _tetrad_draw
+    return _fock_checks(cutoff)
 
 
 def run_verification(
@@ -362,20 +295,30 @@ def run_verification(
     """Run the selected invariant sweeps and return the report as a dict.
 
     The report is deterministic for fixed arguments; the overall pass flag
-    is the conjunction of the per-record flags.
+    is the conjunction of the per-record flags.  Raises ValueError for an
+    unknown suite, samples < 1, cutoff < 0 or a non-finite tolerance.
     """
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    for flag, value in (("tol", tol), ("classical_tol", classical_tol)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     rng = np.random.default_rng(seed)
+    tols = {_TOL: float(tol), _CLASSICAL: float(classical_tol)}
     records = []
-    if suite in ("spinor", "all"):
-        records.extend(_spinor_records(rng, samples, tol))
-    if suite in ("tetrad", "all"):
-        records.extend(_tetrad_records(rng, samples, tol))
-    if suite in ("fock", "all"):
-        records.extend(_fock_records(rng, samples, tol, cutoff, classical_tol))
+    for name, table in _RECORDS.items():
+        if suite not in (name, "all"):
+            continue
+        fixed, draw = _suite_checks(name, cutoff)
+        draws = itertools.chain.from_iterable(draw(rng) for _ in range(samples))
+        devs = {record: [] for record in table}
+        for record, dev in itertools.chain(fixed, draws):
+            devs[record].append(dev)
+        records += [_record(rec, devs[rec], tols.get(cls, cls)) for rec, cls in table.items()]
     return {
         "command": "verify",
         "suite": suite,

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from urtetrad.cli import main
+from urtetrad.cli import dumps17, main
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -122,6 +122,22 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [("--tol", "nan"), ("--tol", "inf"), ("--suite", "spinor", "--cutoff", "-1")]
+)
+def test_verify_bad_input_exit2(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", "--samples", "5", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+def test_dumps17_rejects_nonfinite(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps17({"radius": [1.0, value]})
+
+
 def test_fock_matrix_t0(capsys):
     doc = run_json(capsys, "fock", "--cutoff", "1", "--op", "t0", "--matrix")
     assert doc["dimension"] == 5
@@ -210,6 +226,22 @@ def test_cosmos_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "cosmos", "--r0", "1", "--c", "0", "--epoch", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--r0", "1", "--c", "1", "--epoch", "nan"),
+        ("--r0", "1", "--c", "1", "--epoch", "inf"),
+        ("--r0", "1", "--c", "inf", "--epoch", "2"),
+        ("--r0", "nan", "--c", "1", "--epoch", "2"),
+    ],
+)
+def test_cosmos_nonfinite_exit2(capsys, argv):
+    code, out, err = run_cli(capsys, "cosmos", *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_module_entry_point():

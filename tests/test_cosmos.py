@@ -43,6 +43,18 @@ def test_model_invariants():
         ExpansionModel(1.0, -2.0)
 
 
+@pytest.mark.parametrize("r0, c", [(float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("inf"))])
+def test_model_rejects_nonfinite(r0, c):
+    with pytest.raises(ValueError, match="finite"):
+        ExpansionModel(r0, c)
+
+
+@pytest.mark.parametrize("epoch", [float("nan"), float("inf"), float("-inf")])
+def test_nonfinite_epoch_rejected(epoch):
+    with pytest.raises(ValueError, match="finite"):
+        radius_at(ExpansionModel(1.0, 1.0), epoch)
+
+
 def test_ur_count_reference():
     assert ur_count_reference() == 1e120
     assert UR_COUNT_REFERENCE == 1e120
