@@ -230,8 +230,25 @@ def _cmd_cosmos(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token float() accepts as a value.
+
+    argparse itself takes only plain negatives such as -1 and -.5 for
+    values, so -1e-3, -inf and -nan would otherwise read as unknown option
+    names.  No option of this CLI looks like a number.  Subparsers inherit
+    the class.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="urtetrad",
         description="Spinor dyads, null/real tetrads, metric reconstruction, "
         "and the second-quantized tetrad on a truncated Fock space.",

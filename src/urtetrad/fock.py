@@ -29,6 +29,7 @@ from .spinor import GroupElement
 __all__ = [
     "N_MODES",
     "MAX_STATES",
+    "MAX_DEFICIT",
     "TETRAD_BILINEARS",
     "CutoffTooLargeError",
     "BadModeError",
@@ -47,6 +48,8 @@ __all__ = [
 
 N_MODES = 4
 MAX_STATES = 10**6
+# largest share of the untruncated coherent state's weight a truncation may drop
+MAX_DEFICIT = 1e-8
 
 
 class CutoffTooLargeError(ValueError):
@@ -85,26 +88,6 @@ class SparseOperator:
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseOperator is immutable")
-
-    @classmethod
-    def from_triplets(cls, dimension: int, entries) -> "SparseOperator":
-        """Build from (row, col, value) entries; duplicate positions are rejected."""
-        rows, cols, vals = [], [], []
-        seen = set()
-        for r, c, v in entries:
-            if not (0 <= r < dimension and 0 <= c < dimension):
-                raise ValueError(f"entry ({r}, {c}) outside dimension {dimension}")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            seen.add((r, c))
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-        mat = sparse.csr_array(
-            (np.asarray(vals, dtype=complex), (rows, cols)),
-            shape=(dimension, dimension),
-        )
-        return cls(mat)
 
     @classmethod
     def identity(cls, dimension: int) -> "SparseOperator":
@@ -187,15 +170,21 @@ def _mode_index(r: int) -> int:
     return r - 1
 
 
-def _enumerate_basis(cutoff: int):
-    # total-quanta-major, then lexicographic in (n1, n2, n3, n4)
-    basis = []
+def _occupations(cutoff: int) -> np.ndarray:
+    """Basis rows (n1, n2, n3, n4): total-quanta-major, then lexicographic.
+
+    Within shell t, n4 = t - n1 - n2 - n3 is fixed by the rest, so the shell
+    is the lexicographic (n1, n2, n3) with sum <= t, each completed by n4.
+    """
+    grid = np.indices((cutoff + 1,) * 3, dtype=np.int64).reshape(3, -1).T
+    sums = grid.sum(axis=1)
+    keep = sums <= cutoff
+    triples, sums = grid[keep], sums[keep]
+    shells = []
     for total in range(cutoff + 1):
-        for n1 in range(total + 1):
-            for n2 in range(total - n1 + 1):
-                for n3 in range(total - n1 - n2 + 1):
-                    basis.append((n1, n2, n3, total - n1 - n2 - n3))
-    return basis
+        inside = sums <= total
+        shells.append(np.column_stack((triples[inside], total - sums[inside])))
+    return np.concatenate(shells)
 
 
 def _choose(n: np.ndarray, k: int) -> np.ndarray:
@@ -235,19 +224,18 @@ class FockSpace:
     CLI output contract; the dimension is binomial(cutoff + 4, 4).
     """
 
-    def __init__(self, cutoff: int, max_states: int = MAX_STATES):
+    def __init__(self, cutoff: int):
         cutoff = int(cutoff)
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         dimension = math.comb(cutoff + N_MODES, N_MODES)
-        if dimension > max_states:
+        if dimension > MAX_STATES:
             raise CutoffTooLargeError(
-                f"cutoff {cutoff} gives {dimension} states, above the bound {max_states}"
+                f"cutoff {cutoff} gives {dimension} states, above the bound {MAX_STATES}"
             )
         self.cutoff = cutoff
         self.dimension = dimension
-        self.basis = tuple(_enumerate_basis(cutoff))
-        self.occupations = np.array(self.basis, dtype=np.int64)
+        self.occupations = _occupations(cutoff)
         self.occupations.setflags(write=False)
 
     def index_of(self, state) -> int:
@@ -316,6 +304,19 @@ class FockSpace:
         moved[:, j] -= 1
         return _rank(moved), cols, values
 
+    def _bilinear(self, terms) -> SparseOperator:
+        """The sum of coeff * tau_rs over (coeff, r, s) terms."""
+        entries = [self._tau_entries(r, s) for _, r, s in terms]
+        scaled = [complex(coeff) * values for (coeff, _, _), (_, _, values) in zip(terms, entries)]
+        if all(r == s for _, r, s in terms):
+            # summed in term order, the same rounding as adding the tau matrices
+            return SparseOperator.from_diagonal(sum(scaled))
+        # off-diagonal terms of one tetrad component move quanta between
+        # different mode pairs, so their positions are disjoint and nothing
+        # is summed
+        rows, cols, _ = zip(*entries)
+        return self._operator(np.concatenate(rows), np.concatenate(cols), np.concatenate(scaled))
+
     def tau(self, r: int, s: int) -> SparseOperator:
         """Symmetrized bilinear (1/2){a_r^+, a_s} projected to the truncated basis.
 
@@ -324,10 +325,7 @@ class FockSpace:
         shell, so it equals the projection of the untruncated operator;
         its entries are written out directly from the occupations.
         """
-        rows, cols, values = self._tau_entries(r, s)
-        if r == s:
-            return SparseOperator.from_diagonal(values)
-        return self._operator(rows, cols, values)
+        return self._bilinear(((1.0, r, s),))
 
 
 @dataclass(frozen=True)
@@ -373,14 +371,7 @@ def tetrad_component(space: FockSpace, name: str) -> SparseOperator:
         terms = TETRAD_BILINEARS[name]
     except KeyError:
         raise ValueError(f"unknown tetrad component {name!r}") from None
-    rows, cols, values = zip(*(space._tau_entries(r, s) for _, r, s in terms))
-    scaled = [complex(coeff) * v for (coeff, _, _), v in zip(terms, values)]
-    if all(r == s for _, r, s in terms):
-        # summed in table order, the same rounding as adding the tau matrices
-        return SparseOperator.from_diagonal(sum(scaled))
-    # off-diagonal terms of one component move quanta between different mode
-    # pairs, so their positions are disjoint and nothing is summed
-    return space._operator(np.concatenate(rows), np.concatenate(cols), np.concatenate(scaled))
+    return space._bilinear(terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,17 +410,12 @@ def _sqrt_factorials(n: int) -> np.ndarray:
     return np.sqrt(np.cumprod(np.concatenate(([1.0], np.arange(1.0, n + 1.0)))))
 
 
-def coherent_state(
-    space: FockSpace,
-    amps: BispinorAmplitudes,
-    scale: float,
-    max_deficit: float = 1e-8,
-) -> np.ndarray:
+def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> np.ndarray:
     """Normalized truncated coherent state with mode amplitudes scale * u_r.
 
     The weight the truncation discards from the untruncated state is the
     Poisson tail of the total intensity sum_r |alpha_r|^2; if that deficit
-    exceeds max_deficit the state is refused as TruncationTooLossyError.
+    exceeds MAX_DEFICIT the state is refused as TruncationTooLossyError.
     A non-finite scale is refused as ValueError.
     """
     scale = float(scale)
@@ -449,9 +435,9 @@ def coherent_state(
     norm_sq = float(np.vdot(coeffs, coeffs).real)
     intensity = float(np.sum(np.abs(alphas) ** 2))
     deficit = 1.0 - norm_sq * math.exp(-intensity)
-    if deficit > max_deficit:
+    if deficit > MAX_DEFICIT:
         raise TruncationTooLossyError(
-            f"truncation discards {deficit:.3e} of the state weight, above {max_deficit}"
+            f"truncation discards {deficit:.3e} of the state weight, above {MAX_DEFICIT}"
         )
     state = coeffs / math.sqrt(norm_sq)
     state.setflags(write=False)

@@ -24,9 +24,10 @@ SUITES = ("spinor", "tetrad", "fock", "all")
 
 _MODES = (1, 2, 3, 4)
 
-# Tolerance classes: the --tol value, the classical-limit tolerance, or a
-# fixed number (0.0 for identities that are exact in floating point).
-_TOL, _CLASSICAL, _EXACT = "tol", "classical", 0.0
+# Tolerance classes: the --tol value or a fixed number (1e-6 for the
+# classical limit of the truncated Fock space, 0.0 for identities that are
+# exact in floating point).
+_TOL, _CLASSICAL, _EXACT = "tol", 1e-6, 0.0
 
 # suite -> {record name: tolerance class}, in report order
 _RECORDS = {
@@ -290,13 +291,13 @@ def run_verification(
     seed: int = 0,
     tol: float = 1e-12,
     cutoff: int = 4,
-    classical_tol: float = 1e-6,
 ) -> dict:
     """Run the selected invariant sweeps and return the report as a dict.
 
     The report is deterministic for fixed arguments; the overall pass flag
     is the conjunction of the per-record flags.  Raises ValueError for an
-    unknown suite, samples < 1, cutoff < 0 or a non-finite tolerance.
+    unknown suite, samples < 1, cutoff < 0 or a tolerance that is negative
+    or not finite.
     """
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
@@ -304,11 +305,10 @@ def run_verification(
         raise ValueError("samples must be at least 1")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    for flag, value in (("tol", tol), ("classical_tol", classical_tol)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     rng = np.random.default_rng(seed)
-    tols = {_TOL: float(tol), _CLASSICAL: float(classical_tol)}
+    tols = {_TOL: float(tol)}
     records = []
     for name, table in _RECORDS.items():
         if suite not in (name, "all"):
@@ -325,7 +325,7 @@ def run_verification(
         "samples": int(samples),
         "seed": int(seed),
         "tolerance": float(tol),
-        "classical_tolerance": float(classical_tol),
+        "classical_tolerance": _CLASSICAL,
         "cutoff": int(cutoff),
         "records": records,
         "pass": all(r["pass"] for r in records),

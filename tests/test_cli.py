@@ -69,12 +69,32 @@ def test_tetrad_nonunit_exit2(capsys):
         ("--a", "nan", "0", "--b", "0", "0", "--null"),
         ("--quat", "1", "0", "0", "0", "--phi", "nan", "--real"),
         ("--quat", "1", "0", "0", "0", "--phi", "inf", "--null"),
+        ("--quat", "-inf", "0", "0", "0", "--real"),
+        ("--a", "-nan", "0", "--b", "0", "0", "--null"),
+        ("--quat", "1", "0", "0", "0", "--phi", "-inf", "--real"),
     ],
 )
 def test_tetrad_nonfinite_exit2(capsys, argv):
-    code, out, _ = run_cli(capsys, "tetrad", *argv)
+    code, out, err = run_cli(capsys, "tetrad", *argv)
     assert code == 2
     assert out == ""
+    assert err.startswith("error:")  # refused by the input checks, not by argparse
+
+
+# each exponent-form negative against the plain spelling argparse always took
+@pytest.mark.parametrize(
+    "template, value, plain",
+    [
+        ("tetrad --quat {} 0 0 0.99498743710662 --real", "-1e-1", "-0.1"),
+        ("tetrad --a 0.6 0 --b 0 {} --null", "-8e-1", "-0.8"),
+        ("tetrad --quat 1 0 0 0 --phi {} --real", "-1e-3", "-0.001"),
+        ("cosmos --r0 1 --c 1 --epoch {}", "-1e-3", "-0.001"),
+    ],
+)
+def test_negative_exponent_values_accepted(capsys, template, value, plain):
+    got = run_cli(capsys, *template.format(value).split())
+    want = run_cli(capsys, *template.format(plain).split())
+    assert got == want
 
 
 def test_tetrad_usage_errors(capsys):
@@ -123,7 +143,8 @@ def test_verify_usage_errors(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("--tol", "nan"), ("--tol", "inf"), ("--suite", "spinor", "--cutoff", "-1")]
+    "argv",
+    [("--tol", "nan"), ("--tol", "inf"), ("--suite", "spinor", "--cutoff", "-1"), ("--tol", "-1")],
 )
 def test_verify_bad_input_exit2(capsys, argv):
     code, out, err = run_cli(capsys, "verify", "--samples", "5", *argv)
@@ -190,7 +211,7 @@ def test_fock_bad_operator_exit2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-nan"])
 def test_fock_nonfinite_scale_exit2(capsys, scale):
     code, out, err = run_cli(
         capsys, "fock", "--cutoff", "4", "--op", "z1",
@@ -235,6 +256,8 @@ def test_cosmos_usage_errors(capsys):
         ("--r0", "1", "--c", "1", "--epoch", "inf"),
         ("--r0", "1", "--c", "inf", "--epoch", "2"),
         ("--r0", "nan", "--c", "1", "--epoch", "2"),
+        ("--r0", "1", "--c", "1", "--epoch", "-inf"),
+        ("--r0", "1", "--c", "-nan", "--epoch", "2"),
     ],
 )
 def test_cosmos_nonfinite_exit2(capsys, argv):

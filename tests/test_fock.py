@@ -35,16 +35,18 @@ def brute_force_basis(cutoff):
     return sorted(states, key=lambda s: (sum(s), s))
 
 
-@pytest.mark.parametrize("cutoff,dim", [(0, 1), (1, 5), (3, 35)])
+@pytest.mark.parametrize("cutoff,dim", [(0, 1), (1, 5), (3, 35), (8, 495)])
 def test_dimension_matches_enumeration(cutoff, dim):
     space = FockSpace(cutoff)
     assert space.dimension == dim
-    assert list(space.basis) == brute_force_basis(cutoff)
+    assert space.occupations.dtype == np.int64
+    assert not space.occupations.flags.writeable
+    assert space.occupations.tolist() == [list(s) for s in brute_force_basis(cutoff)]
 
 
 def test_basis_index_roundtrip():
     space = FockSpace(3)
-    for i, state in enumerate(space.basis):
+    for i, state in enumerate(space.occupations):
         assert space.index_of(state) == i
 
 
@@ -56,11 +58,15 @@ def test_closed_form_rank_matches_basis_order():
             space.index_of(outside)
 
 
+def test_largest_cutoff_rank_matches_basis_order():
+    space = FockSpace(67)  # binomial(71, 4) = 971635, the largest under MAX_STATES
+    assert space.dimension == 971635
+    np.testing.assert_array_equal(_rank(space.occupations), np.arange(space.dimension))
+
+
 def test_cutoff_bound():
     with pytest.raises(CutoffTooLargeError):
-        FockSpace(5, max_states=10)
-    with pytest.raises(CutoffTooLargeError):
-        FockSpace(68)  # binomial(72, 4) is above the default bound
+        FockSpace(68)  # binomial(72, 4) is above MAX_STATES
     with pytest.raises(ValueError):
         FockSpace(-1)
 
@@ -135,7 +141,7 @@ def test_commutators_cutoff3():
 def test_safe_indices_are_below_cutoff():
     space = FockSpace(2)
     safe = set(space.safe_indices().tolist())
-    for i, state in enumerate(space.basis):
+    for i, state in enumerate(space.occupations):
         assert (i in safe) == (sum(state) < 2)
 
 
@@ -232,15 +238,6 @@ def test_spatial_components_have_no_zero_point_shift():
 def test_unknown_component_rejected():
     with pytest.raises(ValueError):
         tetrad_component(FockSpace(1), "w9")
-
-
-def test_sparse_operator_from_triplets():
-    op = SparseOperator.from_triplets(3, [(0, 1, 1j), (2, 0, 2.0)])
-    assert op.triplets() == [(0, 1, 1j), (2, 0, 2.0 + 0.0j)]
-    with pytest.raises(ValueError):
-        SparseOperator.from_triplets(3, [(0, 1, 1.0), (0, 1, 2.0)])
-    with pytest.raises(ValueError):
-        SparseOperator.from_triplets(3, [(0, 3, 1.0)])
 
 
 def test_sparse_operator_triplets_row_major():
