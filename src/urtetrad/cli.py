@@ -3,7 +3,9 @@ operator queries, and the expansion law.  All results go to stdout as
 JSON with a fixed key order and floats printed to 17 significant digits,
 so identical flags give byte-identical output; diagnostics go to stderr.
 
-Exit codes: 0 success, 1 verification or physics failure, 2 usage error.
+Exit codes: 0 success, 1 verification or physics failure, 2 usage error,
+141 (128 + SIGPIPE) when the reader closes stdout before all of it is
+written; that case writes nothing to stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -295,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+_EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, as a shell reports a pipe writer it killed
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -309,6 +315,19 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        # flushed here, so a reader that is gone is met below and not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the Python signal docs: the interpreter flushes
+        # stdout again at exit, so point it at devnull to keep that quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

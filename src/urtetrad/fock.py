@@ -13,6 +13,9 @@ tau_rs = (1/2){a_r^+, a_s} that distinction matters: the literal product
 of truncated factors would corrupt the top shell, so the bilinears are
 assembled in normal-ordered form, which is shell-preserving and therefore
 projects exactly.
+
+scipy is imported on the first operator build; the basis, coherent states
+and the bilinear entry arrays need only numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .spinor import GroupElement
 
@@ -78,6 +80,8 @@ class SparseOperator:
     __slots__ = ("_mat",)
 
     def __init__(self, matrix):
+        from scipy import sparse
+
         mat = sparse.csr_array(matrix, dtype=complex)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
@@ -91,14 +95,20 @@ class SparseOperator:
 
     @classmethod
     def identity(cls, dimension: int) -> "SparseOperator":
+        from scipy import sparse
+
         return cls(sparse.eye_array(dimension, dtype=complex, format="csr"))
 
     @classmethod
     def zero(cls, dimension: int) -> "SparseOperator":
+        from scipy import sparse
+
         return cls(sparse.csr_array((dimension, dimension), dtype=complex))
 
     @classmethod
     def from_diagonal(cls, values) -> "SparseOperator":
+        from scipy import sparse
+
         values = np.asarray(values, dtype=complex)
         return cls(sparse.diags_array(values, format="csr"))
 
@@ -237,13 +247,21 @@ class FockSpace:
         self.dimension = dimension
         self.occupations = _occupations(cutoff)
         self.occupations.setflags(write=False)
+        # (k, j) with k < j -> the gather of a_k^+ a_j, filled by _tau_entries
+        self._gathers = {}
 
     def index_of(self, state) -> int:
         """Basis position of an occupation tuple; KeyError if it is not in the basis."""
-        state = tuple(int(n) for n in state)
-        if len(state) != N_MODES or min(state) < 0 or sum(state) > self.cutoff:
-            raise KeyError(state)
-        return int(_rank([state])[0])
+        occ = np.asarray(state, dtype=float)
+        inside = (
+            occ.shape == (N_MODES,)
+            and np.all(occ == np.floor(occ))
+            and occ.min() >= 0
+            and occ.sum() <= self.cutoff
+        )
+        if not inside:
+            raise KeyError(tuple(state))
+        return int(_rank(occ[None, :])[0])
 
     def safe_indices(self) -> np.ndarray:
         """Indices of states with total quanta below the cutoff.
@@ -264,6 +282,8 @@ class FockSpace:
         """Operator from entry arrays; no entries give the zero operator."""
         if len(values) == 0:
             return SparseOperator.zero(self.dimension)
+        from scipy import sparse
+
         mat = sparse.csr_array(
             (np.asarray(values, dtype=complex), (rows, cols)),
             shape=(self.dimension, self.dimension),
@@ -292,17 +312,36 @@ class FockSpace:
         those of the untruncated operator.  The two square roots stay
         separate factors: sqrt((n_r + 1) n_s) rounds differently, and the
         values must match the product of the truncated ladder matrices.
+
+        tau_sr is the adjoint of tau_rs and its entries are real, so each
+        mode pair is gathered once, for r < s, and kept read-only on the
+        space; tau_sr is the same arrays with rows and cols swapped.  Its
+        value at a swapped position is the same two roots in the other
+        order, so the values are bit-identical to a separate gather.
         """
         k, j = _mode_index(r), _mode_index(s)
         if k == j:
             diagonal = np.arange(self.dimension)
             return diagonal, diagonal, self.occupations[:, k] + 0.5
+        pair = (min(k, j), max(k, j))
+        if pair not in self._gathers:
+            self._gathers[pair] = self._gather(*pair)
+        rows, cols, values = self._gathers[pair]
+        return (rows, cols, values) if k < j else (cols, rows, values)
+
+    def _gather(self, k: int, j: int):
+        """Read-only (rows, cols, values) of a_k^+ a_j over the basis (0-based modes)."""
         cols = np.flatnonzero(self.occupations[:, j])
         moved = self.occupations[cols]
         values = np.sqrt(moved[:, k] + 1.0) * np.sqrt(moved[:, j].astype(float))
         moved[:, k] += 1
         moved[:, j] -= 1
-        return _rank(moved), cols, values
+        # MAX_STATES < 2**31, so the positions fit int32 and the kept arrays
+        # take a third less memory
+        entries = (_rank(moved).astype(np.int32), cols.astype(np.int32), values)
+        for array in entries:
+            array.setflags(write=False)
+        return entries
 
     def _bilinear(self, terms) -> SparseOperator:
         """The sum of coeff * tau_rs over (coeff, r, s) terms."""
@@ -315,7 +354,10 @@ class FockSpace:
         # different mode pairs, so their positions are disjoint and nothing
         # is summed
         rows, cols, _ = zip(*entries)
-        return self._operator(np.concatenate(rows), np.concatenate(cols), np.concatenate(scaled))
+        # scipy keeps the index dtype it is given; the kept gathers are int32,
+        # and the operators' CSR indices stay int64
+        rows, cols = (np.concatenate(part, dtype=np.int64) for part in (rows, cols))
+        return self._operator(rows, cols, np.concatenate(scaled))
 
     def tau(self, r: int, s: int) -> SparseOperator:
         """Symmetrized bilinear (1/2){a_r^+, a_s} projected to the truncated basis.

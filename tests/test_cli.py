@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -275,3 +276,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["radius"] == 3.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tetrad", "--a", "0.6", "0", "--b", "0", "-8e-1", "--null"),
+        ("fock", "--cutoff", "12", "--op", "z1", "--matrix"),
+    ],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "urtetrad", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""  # no traceback, no message

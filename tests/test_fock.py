@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from urtetrad import fock
 from urtetrad.cli import main
 from urtetrad.fock import (
     TETRAD_BILINEARS,
@@ -53,7 +54,8 @@ def test_basis_index_roundtrip():
 def test_closed_form_rank_matches_basis_order():
     space = FockSpace(12)
     np.testing.assert_array_equal(_rank(space.occupations), np.arange(space.dimension))
-    for outside in ((0, 0, 0, -1), (13, 0, 0, 0), (3, 4, 6, 0), (0, 0, 0)):
+    for outside in ((0, 0, 0, -1), (13, 0, 0, 0), (3, 4, 6, 0), (0, 0, 0),
+                    (1.9, 0, 0, 0), (0.5, 0, 0, 0), (0, 0, 0, math.nan)):
         with pytest.raises(KeyError):
             space.index_of(outside)
 
@@ -207,6 +209,30 @@ def test_operator_tetrad_structure():
     assert labels == [f"{v}{mu}" for v in "tzxy" for mu in range(4)]
     for _, op in ot.components():
         assert op.hermiticity_defect() < 1e-12
+
+
+def test_operator_tetrad_gathers_each_pair_once(monkeypatch):
+    calls = []
+
+    def counted_rank(occ):
+        calls.append(len(occ))
+        return _rank(occ)
+
+    monkeypatch.setattr(fock, "_rank", counted_rank)
+    space = FockSpace(4)
+    first = operator_tetrad(space)
+    assert len(calls) == 6  # one gather per mode pair r < s
+    second = operator_tetrad(space)
+    assert len(calls) == 6
+    for (_, a), (_, b) in zip(first.components(), second.components()):
+        for part in ("data", "indices", "indptr"):
+            assert getattr(a.matrix, part).tobytes() == getattr(b.matrix, part).tobytes()
+    rows, cols, values = space._tau_entries(1, 3)
+    adjoint = space._tau_entries(3, 1)
+    assert adjoint[0] is cols and adjoint[1] is rows and adjoint[2] is values
+    for array in (rows, cols, values):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_z3_is_diagonal_with_expected_values():
