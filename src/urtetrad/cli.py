@@ -155,8 +155,6 @@ def _parse_op(tokens):
             r, s = int(tokens[1]), int(tokens[2])
         except ValueError:
             raise ValueError("tau mode indices must be integers 1..4") from None
-        if r not in (1, 2, 3, 4) or s not in (1, 2, 3, 4):
-            raise ValueError("tau mode indices must be in 1..4")
         return ("tau", r, s)
     if len(tokens) == 1 and name in fock.TETRAD_BILINEARS:
         return (name,)

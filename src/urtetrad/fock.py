@@ -235,9 +235,9 @@ class FockSpace:
     """
 
     def __init__(self, cutoff: int):
+        if not (0 <= cutoff < math.inf and cutoff % 1 == 0):
+            raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
         cutoff = int(cutoff)
-        if cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
         dimension = math.comb(cutoff + N_MODES, N_MODES)
         if dimension > MAX_STATES:
             raise CutoffTooLargeError(
@@ -457,8 +457,9 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
 
     The weight the truncation discards from the untruncated state is the
     Poisson tail of the total intensity sum_r |alpha_r|^2; if that deficit
-    exceeds MAX_DEFICIT the state is refused as TruncationTooLossyError.
-    A non-finite scale is refused as ValueError.
+    exceeds MAX_DEFICIT or is NaN (a NaN amplitude, an overflowing weight)
+    the state is refused as TruncationTooLossyError.  A non-finite scale
+    is refused as ValueError.
     """
     scale = float(scale)
     if not math.isfinite(scale):
@@ -466,18 +467,21 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
     alphas = scale * amps.as_array()
     sq = _sqrt_factorials(space.cutoff)
     powers = np.arange(space.cutoff + 1)
-    tables = [alpha**powers / sq for alpha in alphas]
     occ = space.occupations
-    coeffs = (
-        tables[0][occ[:, 0]]
-        * tables[1][occ[:, 1]]
-        * tables[2][occ[:, 2]]
-        * tables[3][occ[:, 3]]
-    )
-    norm_sq = float(np.vdot(coeffs, coeffs).real)
-    intensity = float(np.sum(np.abs(alphas) ** 2))
+    # huge amplitudes overflow here into a NaN deficit, which the gate refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = [alpha**powers / sq for alpha in alphas]
+        coeffs = (
+            tables[0][occ[:, 0]]
+            * tables[1][occ[:, 1]]
+            * tables[2][occ[:, 2]]
+            * tables[3][occ[:, 3]]
+        )
+        norm_sq = float(np.vdot(coeffs, coeffs).real)
+        intensity = float(np.sum(np.abs(alphas) ** 2))
     deficit = 1.0 - norm_sq * math.exp(-intensity)
-    if deficit > MAX_DEFICIT:
+    # written so that a NaN deficit fails the gate too
+    if not deficit <= MAX_DEFICIT:
         raise TruncationTooLossyError(
             f"truncation discards {deficit:.3e} of the state weight, above {MAX_DEFICIT}"
         )

@@ -216,13 +216,13 @@ class Dyad:
             raise VarianceMismatchError("dyad spinors must be upper-index")
 
     def max_defect(self) -> float:
-        """Largest violation of the four dyad contraction conditions."""
-        return max(
+        """Largest violation of the four dyad contraction conditions; NaN if any is NaN."""
+        return float(np.max([
             abs(contract(self.u, self.u)),
             abs(contract(self.v, self.v)),
             abs(contract(self.v, self.u) - 1.0),
             abs(contract(self.u, self.v) + 1.0),
-        )
+        ]))
 
 
 def dyad_from_element(g: GroupElement) -> Dyad:

@@ -131,12 +131,14 @@ class RealTetrad:
 def pauli_bilinear(p, q) -> np.ndarray:
     """(1/sqrt 2) conj(p)^T sigma^mu q for the four sigma matrices.
 
-    The first slot is the conjugated one; this is the only place the
+    p and q are spinors of shape (..., 2) with matching leading axes; a
+    single pair gives shape (4,), a stack of N pairs shape (N, 4).  The
+    first slot is the conjugated one; this is the only place the
     dotted/undotted distinction enters the numerics.
     """
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
-    return np.einsum("i,mij,j->m", p.conj(), SIGMA, q) / _SQRT2
+    return np.einsum("...i,mij,...j->...m", p.conj(), SIGMA, q) / _SQRT2
 
 
 def null_tetrad(d: Dyad) -> NullTetrad:
@@ -144,21 +146,15 @@ def null_tetrad(d: Dyad) -> NullTetrad:
 
     l = bilinear(v, u), l* = bilinear(u, v), m = bilinear(v, v),
     n = bilinear(u, u).  Raises DyadInvalidError when the dyad conditions
-    are violated beyond 1e-9.
+    are violated beyond 1e-9 or the defect is NaN.
     """
     defect = d.max_defect()
-    if defect > DYAD_GATE:
+    if not defect <= DYAD_GATE:
         raise DyadInvalidError(f"dyad contraction defect {defect:.3e} exceeds {DYAD_GATE}")
     u = d.u.components()
     v = d.v.components()
-    vecs = (
-        pauli_bilinear(v, u),
-        pauli_bilinear(u, v),
-        pauli_bilinear(v, v),
-        pauli_bilinear(u, u),
-    )
-    for vec in vecs:
-        vec.setflags(write=False)
+    vecs = pauli_bilinear([v, u, v, u], [u, v, v, u])
+    vecs.setflags(write=False)
     return NullTetrad(*vecs)
 
 
@@ -193,13 +189,13 @@ def reconstruct_metric_general(frame, frame_metric) -> np.ndarray:
 
     frame is a sequence of four contravariant 4-vectors; they are lowered
     with eta before contraction.  Raises SingularFrameMetricError when the
-    frame metric has no inverse.
+    frame metric is not finite or has no inverse.
     """
     fm = np.asarray(frame_metric, dtype=float)
     if fm.shape != (4, 4):
         raise ValueError("frame metric must be 4x4")
-    if abs(np.linalg.det(fm)) < 1e-12:
-        raise SingularFrameMetricError("frame metric is singular")
+    if not (np.isfinite(fm).all() and abs(np.linalg.det(fm)) >= 1e-12):
+        raise SingularFrameMetricError("frame metric is singular or not finite")
     lowered = np.array([_lower(np.asarray(v, dtype=complex)) for v in frame])
     return np.einsum("ab,am,bn->mn", fm, lowered, lowered)
 
@@ -212,14 +208,10 @@ def real_tetrad(d: Dyad) -> RealTetrad:
     conjugate, so the imaginary parts vanish identically (exactly, in
     floating point) and are dropped.
     """
-    nt = null_tetrad(d)
-    t = ((nt.m + nt.n) / _SQRT2).real
-    z = ((nt.m - nt.n) / _SQRT2).real
-    x = ((nt.l + nt.l_star) / _SQRT2).real
-    y = (1j * (nt.l - nt.l_star) / _SQRT2).real
-    for vec in (t, z, x, y):
-        vec.setflags(write=False)
-    return RealTetrad(t, z, x, y)
+    l, l_star, m, n = null_tetrad(d).vectors()
+    vecs = (np.array([m + n, m - n, l + l_star, 1j * (l - l_star)]) / _SQRT2).real
+    vecs.setflags(write=False)
+    return RealTetrad(*vecs)
 
 
 def real_tetrad_polynomials(q: QuaternionPoint) -> RealTetrad:
@@ -239,43 +231,17 @@ def real_tetrad_polynomials(q: QuaternionPoint) -> RealTetrad:
     return RealTetrad(t, zv, xv, yv)
 
 
-# identity dreibein embedded into R^4 = (w, x, y, z) space: spatial parts
-# of the real-tetrad x, y, z vectors at the identity point
-_IDENTITY_DREIBEIN = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0, 0.0],
-        [0.0, 0.0, 0.0, -1.0],
-    ]
-)
-_IDENTITY_DREIBEIN.setflags(write=False)
-
-
-def _quaternion_product(p, q):
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return np.array(
-        [
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw,
-        ]
-    )
-
-
 def tangent_frame_at(q: QuaternionPoint):
     """Orthonormal frame of the tangent space of S^3 at q.
 
-    The identity dreibein, embedded as pure-imaginary quaternions, is
-    carried to q by quaternion left multiplication.  Left translation by a
-    unit quaternion is a Euclidean isometry of R^4 mapping the tangent
-    space at the identity onto the tangent space at q, so the three
-    returned 4-vectors are unit, mutually orthogonal, and orthogonal to
-    the radial direction q.
+    The rows are the quaternion left products q*i, q*(-j) and q*(-k): the
+    identity dreibein, embedded as pure-imaginary quaternions, carried to
+    q.  Left translation by a unit quaternion is a Euclidean isometry of
+    R^4 mapping the tangent space at the identity onto the tangent space
+    at q, so the three returned 4-vectors are unit, mutually orthogonal,
+    and orthogonal to the radial direction q.
     """
-    base = q.as_array()
-    frame = tuple(_quaternion_product(base, e) for e in _IDENTITY_DREIBEIN)
-    for vec in frame:
-        vec.setflags(write=False)
-    return frame
+    w, x, y, z = q.w, q.x, q.y, q.z
+    frame = np.array([[-x, w, z, -y], [y, z, -w, -x], [z, -y, x, -w]])
+    frame.setflags(write=False)
+    return tuple(frame)

@@ -175,7 +175,7 @@ def _tetrad_draw(rng):
     u, v = d.u.components(), d.v.components()
     ph = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     # (l, l*, m, n) are the bilinears of (v, u), (u, v), (v, v) and (u, u)
-    phased = [tetrad.pauli_bilinear(ph * a, ph * b) for a, b in ((v, u), (u, v), (v, v), (u, u))]
+    phased = tetrad.pauli_bilinear(ph * np.array([v, u, v, u]), ph * np.array([u, v, v, u]))
     yield "bilinear_phase_invariance", _worst(np.subtract(phased, vecs))
 
     yield "real_tetrad_vs_polynomials", _worst(
@@ -203,19 +203,23 @@ def _poisson_tail(intensity, cutoff):
     return 1.0 - math.exp(-intensity) * acc
 
 
-def _coherent_scale_for_cutoff(cutoff, bound=1e-10, cap=0.5):
-    """Largest scale <= cap whose truncated-norm deficit stays below bound.
+_DEFICIT_BOUND = 1e-10  # a hundredth of fock.MAX_DEFICIT
+_SCALE_CAP = 0.5
+
+
+def _coherent_scale_for_cutoff(cutoff):
+    """Largest scale <= _SCALE_CAP whose truncation deficit stays below _DEFICIT_BOUND.
 
     Unit group elements have total bispinor intensity 2 * scale^2; the
     deficit is the Poisson tail of that intensity above the cutoff.
     """
-    s_hi = 2.0 * cap * cap
-    if _poisson_tail(s_hi, cutoff) <= bound:
-        return cap
+    s_hi = 2.0 * _SCALE_CAP * _SCALE_CAP
+    if _poisson_tail(s_hi, cutoff) <= _DEFICIT_BOUND:
+        return _SCALE_CAP
     lo, hi = 0.0, s_hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _poisson_tail(mid, cutoff) <= bound:
+        if _poisson_tail(mid, cutoff) <= _DEFICIT_BOUND:
             lo = mid
         else:
             hi = mid
@@ -296,15 +300,15 @@ def run_verification(
 
     The report is deterministic for fixed arguments; the overall pass flag
     is the conjunction of the per-record flags.  Raises ValueError for an
-    unknown suite, samples < 1, cutoff < 0 or a tolerance that is negative
-    or not finite.
+    unknown suite, samples < 1, a cutoff that is not a nonnegative integer
+    or a tolerance that is negative or not finite.
     """
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    if not (0 <= cutoff < math.inf and cutoff % 1 == 0):
+        raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     rng = np.random.default_rng(seed)

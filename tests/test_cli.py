@@ -232,6 +232,25 @@ def test_fock_truncation_exit1(capsys):
     assert "truncation" in err.lower()
 
 
+@pytest.mark.parametrize("scale", ["1e100", "1e200"])
+def test_fock_overflowing_scale_exit1(capsys, scale):
+    code, out, err = run_cli(
+        capsys, "fock", "--cutoff", "2", "--op", "z3",
+        "--expect-coherent", "1", "0", "0", "0", "0", scale,
+    )
+    assert code == 1
+    assert out == ""
+    assert "truncation" in err.lower()
+
+
+@pytest.mark.parametrize("modes, bad", [(("1", "9"), "9"), (("0", "1"), "0")])
+def test_fock_tau_mode_out_of_range_exit2(capsys, modes, bad):
+    code, out, err = run_cli(capsys, "fock", "--cutoff", "1", "--op", "tau", *modes, "--matrix")
+    assert code == 2
+    assert out == ""
+    assert f"mode index {bad} outside 1..4" in err
+
+
 def test_cosmos_example(capsys):
     doc = run_json(capsys, "cosmos", "--r0", "1", "--c", "1", "--epoch", "2")
     assert doc["radius"] == 3.0
@@ -268,11 +287,12 @@ def test_cosmos_nonfinite_exit2(capsys, argv):
     assert "finite" in err
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "urtetrad", "cosmos", "--r0", "1", "--c", "1", "--epoch", "2"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["radius"] == 3.0
@@ -285,7 +305,7 @@ def test_module_entry_point():
         ("fock", "--cutoff", "12", "--op", "z1", "--matrix"),
     ],
 )
-def test_closed_stdout_exits_141_quietly(argv):
+def test_closed_stdout_exits_141_quietly(argv, child_env):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first write
     try:
@@ -295,6 +315,7 @@ def test_closed_stdout_exits_141_quietly(argv):
             stderr=subprocess.PIPE,
             text=True,
             timeout=120,
+            env=child_env,
         )
     finally:
         os.close(write_end)

@@ -69,8 +69,13 @@ def test_largest_cutoff_rank_matches_basis_order():
 def test_cutoff_bound():
     with pytest.raises(CutoffTooLargeError):
         FockSpace(68)  # binomial(72, 4) is above MAX_STATES
+    with pytest.raises(CutoffTooLargeError):
+        FockSpace(10**400)  # too large for a float, still an integer
     with pytest.raises(ValueError):
         FockSpace(-1)
+    for cutoff in (2.7, math.nan, math.inf):
+        with pytest.raises(ValueError, match="integer"):
+            FockSpace(cutoff)
 
 
 def test_bad_mode():
@@ -336,6 +341,22 @@ def test_coherent_truncation_rejected():
     amps = BispinorAmplitudes.from_element(GroupElement(1, 0))
     with pytest.raises(TruncationTooLossyError):
         coherent_state(space, amps, 2.0)
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning fails the test
+@pytest.mark.parametrize(
+    "amps, scale",
+    [
+        (BispinorAmplitudes(1, 0, 0, 1), 1e100),
+        (BispinorAmplitudes(1, 0, 0, 1), 1e150),
+        (BispinorAmplitudes(1, 0, 0, 1), 1e200),
+        (BispinorAmplitudes(math.nan, 0, 0, 0), 0.5),
+    ],
+    ids=["1e100", "1e150", "1e200", "nan-amplitude"],
+)
+def test_coherent_nan_deficit_rejected(amps, scale):
+    with pytest.raises(TruncationTooLossyError):
+        coherent_state(FockSpace(2), amps, scale)
 
 
 def test_coherent_phase_covariance():

@@ -20,10 +20,14 @@ CLI = "from urtetrad import cli; cli.main({!r})"
     ],
     ids=["import", "cli-cosmos", "cli-tetrad", "operator_tetrad"],
 )
-def test_scipy_loaded_only_by_operator_builds(code, loads_scipy):
+def test_scipy_loaded_only_by_operator_builds(code, loads_scipy, child_env):
     probe = f"{code}\nimport sys\nprint('scipy' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(loads_scipy)

@@ -81,6 +81,15 @@ def test_determinant_is_one():
         assert abs(np.linalg.det(g.su2_matrix()) - 1.0) < 1e-12
 
 
+def test_full_matrix_unitary_with_phase_determinant():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        g = random_group_element(rng)
+        m = g.matrix()
+        assert np.abs(m.conj().T @ m - np.eye(2)).max() < 1e-12
+        assert abs(np.linalg.det(m) - np.exp(2j * g.phi)) < 1e-12
+
+
 def test_phase_wrapping():
     assert GroupElement(1, 0, -1.0).phi == pytest.approx(2 * math.pi - 1.0)
     assert GroupElement(1, 0, 7.0).phi == pytest.approx(7.0 - 2 * math.pi)

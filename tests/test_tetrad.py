@@ -136,6 +136,28 @@ def test_dyad_gate():
         null_tetrad(bad)
 
 
+def test_dyad_defect_keeps_nan():
+    # v_A v^A is NaN, but it is not the first of the four conditions
+    bad = Dyad(Spinor(1, 0), Spinor(0, math.nan))
+    assert math.isnan(bad.max_defect())
+    with pytest.raises(DyadInvalidError):
+        null_tetrad(bad)
+
+
+def test_dyad_gate_refuses_nan_defect():
+    bad = Dyad(Spinor(math.nan, 0), Spinor(0, 1))
+    with pytest.raises(DyadInvalidError):
+        null_tetrad(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_frame_metric_not_finite_rejected(bad):
+    fm = np.array(NULL_FRAME_METRIC)
+    fm[0, 0] = bad
+    with pytest.raises(SingularFrameMetricError):
+        reconstruct_metric_general(identity_tetrad().vectors(), fm)
+
+
 def test_real_tetrad_identity_point():
     # frozen from the quaternion polynomials at (1, 0, 0, 0)
     expected = {
@@ -195,6 +217,41 @@ def test_bilinears_phase_invariant():
         ph = np.exp(1j * rng.uniform(0, 2 * math.pi))
         for p, q in ((v, u), (u, v), (v, v), (u, u)):
             assert np.abs(pauli_bilinear(ph * p, ph * q) - pauli_bilinear(p, q)).max() < 1e-12
+
+
+def test_stacked_bilinear_matches_scalar_calls():
+    rng = np.random.default_rng(79)
+    p = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+    q = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+    stacked = pauli_bilinear(p, q)
+    assert stacked.shape == (50, 4)
+    for row, a, b in zip(stacked, p, q):
+        single = pauli_bilinear(a, b)
+        assert single.shape == (4,)
+        assert row.tobytes() == single.tobytes()
+
+
+def quaternion_left_product(p, q):
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return [
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy - px * qz + py * qw + pz * qx,
+        pw * qz + px * qy - py * qx + pz * qw,
+    ]
+
+
+def test_tangent_frame_is_left_translated_dreibein():
+    rng = np.random.default_rng(83)
+    dreibein = ((0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))  # i, -j, -k
+    for _ in range(500):
+        q = random_s3_point(rng)
+        frame = tangent_frame_at(q)
+        for vec, e in zip(frame, dreibein):
+            # equal by value; the sign of a zero entry may differ
+            assert vec.tolist() == quaternion_left_product(q.as_array().tolist(), e)
+            assert not vec.flags.writeable
 
 
 def test_tangent_frame_at_identity():

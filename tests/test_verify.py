@@ -142,7 +142,8 @@ def test_nan_deviation_fails_cli_with_json(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("tol", NAN), ("tol", float("inf")), ("tol", -1.0), ("cutoff", -1)]
+    "flag, value",
+    [("tol", NAN), ("tol", float("inf")), ("tol", -1.0), ("cutoff", -1), ("cutoff", 2.5)],
 )
 def test_run_verification_rejects_bad_input(flag, value):
     with pytest.raises(ValueError, match=flag):
