@@ -46,6 +46,7 @@ from .tetrad import (
 from .fock import (
     TETRAD_BILINEARS,
     BadModeError,
+    BilinearOperator,
     BispinorAmplitudes,
     CutoffTooLargeError,
     DimensionMismatchError,

@@ -155,6 +155,9 @@ def _parse_op(tokens):
             r, s = int(tokens[1]), int(tokens[2])
         except ValueError:
             raise ValueError("tau mode indices must be integers 1..4") from None
+        # refused here, before the basis is built, with fock's own message
+        fock._mode_index(r)
+        fock._mode_index(s)
         return ("tau", r, s)
     if len(tokens) == 1 and name in fock.TETRAD_BILINEARS:
         return (name,)

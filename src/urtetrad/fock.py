@@ -14,8 +14,13 @@ of truncated factors would corrupt the top shell, so the bilinears are
 assembled in normal-ordered form, which is shell-preserving and therefore
 projects exactly.
 
-scipy is imported on the first operator build; the basis, coherent states
-and the bilinear entry arrays need only numpy.
+Expectations of the bilinears do not multiply by their matrices: every
+tau_rs combination is linear in the 16 moments <tau_rs> of the state,
+which FockSpace.moments computes once per state (Schwinger's oscillator
+construction, with four modes).
+
+scipy is imported on the first operator build; the basis, coherent states,
+moments and the bilinear entry arrays need only numpy.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "TruncationTooLossyError",
     "DimensionMismatchError",
     "SparseOperator",
+    "BilinearOperator",
     "FockSpace",
     "BispinorAmplitudes",
     "OperatorTetrad",
@@ -52,6 +58,10 @@ N_MODES = 4
 MAX_STATES = 10**6
 # largest share of the untruncated coherent state's weight a truncation may drop
 MAX_DEFICIT = 1e-8
+# basis states per block of FockSpace.moments: a (4, 4096) complex block and
+# its conjugate take 256 KB each, so they stay in cache and no temporary
+# grows with the space
+_MOMENT_BLOCK = 4096
 
 
 class CutoffTooLargeError(ValueError):
@@ -174,6 +184,25 @@ class SparseOperator:
         return f"SparseOperator(dimension={self.dimension}, nnz={self.nnz})"
 
 
+class BilinearOperator(SparseOperator):
+    """sum_rs C[r-1, s-1] tau_rs on one FockSpace: a SparseOperator that
+    also keeps its 4x4 coefficient matrix C and its space's moments.
+
+    expectation contracts C with the state's moments instead of
+    multiplying by the matrix.  It shares the matrix of the canonical,
+    frozen operator it is made from.  Arithmetic on it (dagger, sums,
+    products, scalar multiples) gives plain SparseOperators.
+    """
+
+    __slots__ = ("coefficients", "_moments")
+
+    def __init__(self, op: SparseOperator, moments: "_MomentMatrix", coefficients: np.ndarray):
+        coefficients.setflags(write=False)
+        object.__setattr__(self, "_mat", op.matrix)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "_moments", moments)
+
+
 def _mode_index(r: int) -> int:
     if r not in (1, 2, 3, 4):
         raise BadModeError(f"mode index {r!r} outside 1..{N_MODES}")
@@ -227,6 +256,73 @@ def _rank(occ) -> np.ndarray:
     )
 
 
+class _MomentMatrix:
+    """The moments of states of one FockSpace (FockSpace.moments).
+
+    In normal order, M_rs = <a_r psi | a_s psi> + delta_rs |psi|^2 / 2.
+    a_r psi lies on the basis of cutoff - 1, which is the first D' rows of
+    the space's basis, and a_r |m + e_r> = sqrt(m_r + 1) |m>; so M is the
+    4x4 Gram matrix of four gathered and weighted vectors, summed in blocks
+    of _MOMENT_BLOCK basis states.  It keeps only what that needs: the
+    lower basis, the gather tables (built on first use) and the last
+    state's moments.  Bilinear operators hold it rather than the space, so
+    they do not keep the space's pair gathers alive.
+    """
+
+    __slots__ = ("_below", "_dimension", "_lowered", "_memo")
+
+    def __init__(self, space: "FockSpace"):
+        self._below = space.occupations[: math.comb(space.cutoff - 1 + N_MODES, N_MODES)]
+        self._dimension = space.dimension
+        # (positions, weights), filled by _lowering
+        self._lowered = None
+        # (int64 view of a copy of the last state's bytes, its moments)
+        self._memo = None
+
+    def _lowering(self):
+        """Read-only (positions, weights), each (4, D'):
+        (a_r psi)[m] = weights[r-1, m] * psi[positions[r-1, m]], where
+        positions[k, m] is the rank of m + e_k and weights[k, m] is
+        sqrt(m_k + 1)."""
+        if self._lowered is None:
+            below = self._below
+            # int32 positions, as in FockSpace._gather
+            positions = np.empty((N_MODES, len(below)), dtype=np.int32)
+            weights = np.empty((N_MODES, len(below)))
+            for k in range(N_MODES):
+                raised = below.copy()
+                raised[:, k] += 1
+                positions[k] = _rank(raised)
+                weights[k] = np.sqrt(below[:, k] + 1.0)
+            positions.setflags(write=False)
+            weights.setflags(write=False)
+            self._lowered = positions, weights
+        return self._lowered
+
+    def __call__(self, state) -> np.ndarray:
+        state = np.ascontiguousarray(state, dtype=complex)
+        if state.shape != (self._dimension,):
+            raise DimensionMismatchError(
+                f"state shape {state.shape} does not match space dimension {self._dimension}"
+            )
+        key = state.view(np.int64)
+        # read once, so a state is never paired with another state's moments
+        memo = self._memo
+        if memo is not None and (memo[0] == key).all():
+            return memo[1]
+        positions, weights = self._lowering()
+        moments = np.zeros((N_MODES, N_MODES), dtype=complex)
+        for start in range(0, positions.shape[1], _MOMENT_BLOCK):
+            block = slice(start, start + _MOMENT_BLOCK)
+            lowered = np.take(state, positions[:, block])
+            lowered *= weights[:, block]
+            moments += np.conj(lowered) @ lowered.T
+        moments.flat[:: N_MODES + 1] += 0.5 * np.vdot(state, state).real
+        moments.setflags(write=False)
+        self._memo = (key.copy(), moments)
+        return moments
+
+
 class FockSpace:
     """Occupation basis of 4 bosonic modes with total quanta <= cutoff.
 
@@ -249,6 +345,7 @@ class FockSpace:
         self.occupations.setflags(write=False)
         # (k, j) with k < j -> the gather of a_k^+ a_j, filled by _tau_entries
         self._gathers = {}
+        self._moments = _MomentMatrix(self)
 
     def index_of(self, state) -> int:
         """Basis position of an occupation tuple; KeyError if it is not in the basis."""
@@ -343,23 +440,37 @@ class FockSpace:
             array.setflags(write=False)
         return entries
 
-    def _bilinear(self, terms) -> SparseOperator:
+    def _bilinear(self, terms) -> BilinearOperator:
         """The sum of coeff * tau_rs over (coeff, r, s) terms."""
+        coefficients = np.zeros((N_MODES, N_MODES), dtype=complex)
+        for coeff, r, s in terms:
+            coefficients[_mode_index(r), _mode_index(s)] += coeff
         entries = [self._tau_entries(r, s) for _, r, s in terms]
         scaled = [complex(coeff) * values for (coeff, _, _), (_, _, values) in zip(terms, entries)]
         if all(r == s for _, r, s in terms):
             # summed in term order, the same rounding as adding the tau matrices
-            return SparseOperator.from_diagonal(sum(scaled))
-        # off-diagonal terms of one tetrad component move quanta between
-        # different mode pairs, so their positions are disjoint and nothing
-        # is summed
-        rows, cols, _ = zip(*entries)
-        # scipy keeps the index dtype it is given; the kept gathers are int32,
-        # and the operators' CSR indices stay int64
-        rows, cols = (np.concatenate(part, dtype=np.int64) for part in (rows, cols))
-        return self._operator(rows, cols, np.concatenate(scaled))
+            op = SparseOperator.from_diagonal(sum(scaled))
+        else:
+            # off-diagonal terms of one tetrad component move quanta between
+            # different mode pairs, so their positions are disjoint and
+            # nothing is summed
+            rows, cols, _ = zip(*entries)
+            # scipy keeps the index dtype it is given; the kept gathers are
+            # int32, and the operators' CSR indices stay int64
+            rows, cols = (np.concatenate(part, dtype=np.int64) for part in (rows, cols))
+            op = self._operator(rows, cols, np.concatenate(scaled))
+        return BilinearOperator(op, self._moments, coefficients)
 
-    def tau(self, r: int, s: int) -> SparseOperator:
+    def moments(self, state) -> np.ndarray:
+        """Read-only (4, 4) moments M[r-1, s-1] = <state| tau_rs |state>.
+
+        The space keeps the last state's moments, keyed by its exact
+        bytes, so the operators evaluated on one state share them; a state
+        changed in place misses the key.
+        """
+        return self._moments(state)
+
+    def tau(self, r: int, s: int) -> BilinearOperator:
         """Symmetrized bilinear (1/2){a_r^+, a_s} projected to the truncated basis.
 
         Built in normal-ordered form: a_r^+ a_s plus 1/2 on the diagonal
@@ -407,7 +518,7 @@ TETRAD_BILINEARS = {
 }
 
 
-def tetrad_component(space: FockSpace, name: str) -> SparseOperator:
+def tetrad_component(space: FockSpace, name: str) -> BilinearOperator:
     """One named component of the operator tetrad (t0, z1..z3, x1..x3, y1..y3)."""
     try:
         terms = TETRAD_BILINEARS[name]
@@ -457,8 +568,8 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
 
     The weight the truncation discards from the untruncated state is the
     Poisson tail of the total intensity sum_r |alpha_r|^2; if that deficit
-    exceeds MAX_DEFICIT or is NaN (a NaN amplitude, an overflowing weight)
-    the state is refused as TruncationTooLossyError.  A non-finite scale
+    exceeds MAX_DEFICIT or is not finite (a NaN amplitude, an overflowing
+    weight) the state is refused as TruncationTooLossyError.  A non-finite scale
     is refused as ValueError.
     """
     scale = float(scale)
@@ -480,8 +591,12 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
         norm_sq = float(np.vdot(coeffs, coeffs).real)
         intensity = float(np.sum(np.abs(alphas) ** 2))
     deficit = 1.0 - norm_sq * math.exp(-intensity)
-    # written so that a NaN deficit fails the gate too
-    if not deficit <= MAX_DEFICIT:
+    if not math.isfinite(deficit):
+        raise TruncationTooLossyError(
+            f"truncation deficit is {deficit}: the coherent amplitudes "
+            "overflowed or are not finite"
+        )
+    if deficit > MAX_DEFICIT:
         raise TruncationTooLossyError(
             f"truncation discards {deficit:.3e} of the state weight, above {MAX_DEFICIT}"
         )
@@ -504,10 +619,20 @@ def coherent_bilinear_value(amps: BispinorAmplitudes, scale: float, terms) -> co
 
 
 def expectation(op: SparseOperator, state) -> complex:
-    """<state| op |state>; real up to rounding when op is Hermitian."""
+    """<state| op |state>; real up to rounding when op is Hermitian.
+
+    A BilinearOperator (every tau and tetrad component) contracts its
+    coefficients with the state's moments, which are computed once per
+    state and space; any other operator multiplies the state.  An operator with
+    no entries gives 0.
+    """
     state = np.asarray(state, dtype=complex)
     if state.shape != (op.dimension,):
         raise DimensionMismatchError(
             f"state shape {state.shape} does not match operator dimension {op.dimension}"
         )
+    if not op.nnz:
+        return 0j
+    if isinstance(op, BilinearOperator):
+        return complex((op.coefficients * op._moments(state)).sum())
     return complex(np.vdot(state, op @ state))

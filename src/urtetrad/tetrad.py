@@ -189,14 +189,18 @@ def reconstruct_metric_general(frame, frame_metric) -> np.ndarray:
 
     frame is a sequence of four contravariant 4-vectors; they are lowered
     with eta before contraction.  Raises SingularFrameMetricError when the
-    frame metric is not finite or has no inverse.
+    frame metric is not finite or has no inverse, and ValueError when a
+    frame vector is not finite.
     """
     fm = np.asarray(frame_metric, dtype=float)
     if fm.shape != (4, 4):
         raise ValueError("frame metric must be 4x4")
     if not (np.isfinite(fm).all() and abs(np.linalg.det(fm)) >= 1e-12):
         raise SingularFrameMetricError("frame metric is singular or not finite")
-    lowered = np.array([_lower(np.asarray(v, dtype=complex)) for v in frame])
+    vectors = np.asarray(frame, dtype=complex)
+    if not np.isfinite(vectors).all():
+        raise ValueError("frame vectors are not finite")
+    lowered = np.array([_lower(v) for v in vectors])
     return np.einsum("ab,am,bn->mn", fm, lowered, lowered)
 
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from urtetrad import fock
 from urtetrad.cli import dumps17, main
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -249,6 +250,27 @@ def test_fock_tau_mode_out_of_range_exit2(capsys, modes, bad):
     assert code == 2
     assert out == ""
     assert f"mode index {bad} outside 1..4" in err
+
+
+def test_fock_tau_mode_refused_before_the_basis(capsys, monkeypatch):
+    def no_space(cutoff):
+        raise AssertionError("the basis was built before the modes were checked")
+
+    monkeypatch.setattr(fock, "FockSpace", no_space)
+    code, out, err = run_cli(capsys, "fock", "--cutoff", "67", "--op", "tau", "1", "9", "--matrix")
+    assert code == 2
+    assert out == ""
+    assert "mode index 9 outside 1..4" in err
+
+
+def test_fock_overflow_message_names_the_amplitudes(capsys):
+    code, out, err = run_cli(
+        capsys, "fock", "--cutoff", "2", "--op", "z3",
+        "--expect-coherent", "1", "0", "0", "0", "0", "1e100",
+    )
+    assert code == 1
+    assert out == ""
+    assert "truncation deficit is nan: the coherent amplitudes overflowed or are not finite" in err
 
 
 def test_cosmos_example(capsys):

@@ -10,6 +10,7 @@ from urtetrad.cli import main
 from urtetrad.fock import (
     TETRAD_BILINEARS,
     BadModeError,
+    BilinearOperator,
     BispinorAmplitudes,
     CutoffTooLargeError,
     DimensionMismatchError,
@@ -343,6 +344,16 @@ def test_coherent_truncation_rejected():
         coherent_state(space, amps, 2.0)
 
 
+@pytest.mark.parametrize(
+    "amps, scale",
+    [(BispinorAmplitudes(1, 0, 0, 1), 1e100), (BispinorAmplitudes(math.nan, 0, 0, 0), 0.5)],
+    ids=["1e100", "nan-amplitude"],
+)
+def test_coherent_nan_deficit_message(amps, scale):
+    with pytest.raises(TruncationTooLossyError, match="amplitudes overflowed or are not finite"):
+        coherent_state(FockSpace(2), amps, scale)
+
+
 @pytest.mark.filterwarnings("error")  # an overflow warning fails the test
 @pytest.mark.parametrize(
     "amps, scale",
@@ -455,3 +466,125 @@ def test_coherent_nonfinite_scale_rejected(scale):
     amps = BispinorAmplitudes.from_element(GroupElement(1, 0))
     with pytest.raises(ValueError, match="not finite"):
         coherent_state(space, amps, scale)
+
+
+# coherent scales whose truncation deficit stays below MAX_DEFICIT; at
+# cutoff 20 the lowered vectors span three blocks of fock._MOMENT_BLOCK
+MOMENT_CUTOFF_SCALES = {0: 1e-5, 1: 1e-4, 2: 0.01, 4: 0.1, 12: 0.5, 20: 0.5}
+
+
+def moment_states(space, seed):
+    """Two coherent states and two seeded unnormalised complex states."""
+    rng = np.random.default_rng(seed)
+    scale = MOMENT_CUTOFF_SCALES[space.cutoff]
+    states = [
+        coherent_state(space, BispinorAmplitudes.from_element(random_group_element(rng)), scale)
+        for _ in range(2)
+    ]
+    for _ in range(2):
+        raw = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+        states.append(2.0 * raw / np.sqrt(space.dimension))
+    return states
+
+
+def bilinear_operators(space):
+    ops = {name: tetrad_component(space, name) for name in TETRAD_BILINEARS}
+    ops.update({f"tau {r} {s}": space.tau(r, s) for r in MODES for s in MODES})
+    return ops
+
+
+@pytest.mark.parametrize("cutoff", sorted(MOMENT_CUTOFF_SCALES))
+def test_moment_route_matches_matvec(cutoff):
+    space = FockSpace(cutoff)
+    ops = bilinear_operators(space)
+    for state in moment_states(space, 100 + cutoff):
+        for name, op in ops.items():
+            assert isinstance(op, BilinearOperator), name
+            want = np.vdot(state, op.matrix @ state)
+            assert abs(expectation(op, state) - want) < 1e-12, name
+
+
+def test_bilinear_coefficients():
+    space = FockSpace(2)
+    tau = space.tau(2, 3)
+    expected = np.zeros((4, 4), dtype=complex)
+    expected[1, 2] = 1.0
+    np.testing.assert_array_equal(tau.coefficients, expected)
+    x2 = tetrad_component(space, "x2").coefficients
+    assert x2[0, 3] == -0.5j and x2[3, 0] == 0.5j and np.count_nonzero(x2) == 4
+    with pytest.raises(ValueError):
+        tau.coefficients[0, 0] = 1.0
+
+
+def test_moments_are_read_only_and_kept_per_state():
+    space = FockSpace(4)
+    first, second = moment_states(space, 7)[:2]
+    moments = space.moments(first)
+    assert moments.shape == (4, 4) and not moments.flags.writeable
+    assert space.moments(first.copy()) is moments  # same bytes, same moments
+    assert space.moments(second) is not moments
+    np.testing.assert_array_equal(space.moments(first), moments)
+
+
+def test_bilinear_operator_outlives_its_space():
+    space = FockSpace(4)
+    op = tetrad_component(space, "y2")
+    state = moment_states(space, 23)[2]
+    want = np.vdot(state, op.matrix @ state)
+    del space
+    assert abs(expectation(op, state) - want) < 1e-12
+
+
+def test_moments_of_cutoff0_are_half_the_norm():
+    space = FockSpace(0)
+    np.testing.assert_array_equal(space.moments(np.array([2.0 + 0j])), 2.0 * np.eye(4))
+
+
+def test_moments_follow_in_place_mutation():
+    space = FockSpace(4)
+    state = moment_states(space, 11)[2]
+    op = tetrad_component(space, "x1")
+    before = expectation(op, state)
+    state[3] += 0.5 - 0.25j
+    after = expectation(op, state)
+    assert after != before
+    assert abs(after - np.vdot(state, op.matrix @ state)) < 1e-12
+
+
+def test_moments_of_a_strided_view_match_its_copy():
+    space = FockSpace(4)
+    wide = np.repeat(moment_states(space, 13)[3], 2)
+    view = wide[::2]
+    assert not view.flags.c_contiguous
+    for name in ("t0", "z1", "y3"):
+        op = tetrad_component(space, name)
+        assert expectation(op, view) == expectation(op, view.copy())
+
+
+def test_zero_component_skips_the_state():
+    space = FockSpace(2)
+    zero = operator_tetrad(space).z_hat[0]
+    assert expectation(zero, moment_states(space, 17)[2]) == 0
+    with pytest.raises(DimensionMismatchError):
+        expectation(zero, np.ones(space.dimension + 1))
+    with pytest.raises(DimensionMismatchError):
+        expectation(tetrad_component(space, "z1"), np.ones(space.dimension - 1))
+
+
+def test_derived_operators_take_the_matvec_route(monkeypatch):
+    space = FockSpace(4)
+    state = moment_states(space, 19)[3]
+    z1, x3 = tetrad_component(space, "z1"), tetrad_component(space, "x3")
+    derived = {
+        "dagger": (z1.dagger(), expectation(z1, state).conjugate()),
+        "sum": (z1 + x3, expectation(z1, state) + expectation(x3, state)),
+        "scalar": (2.5 * x3, 2.5 * expectation(x3, state)),
+    }
+
+    def no_moments(self, state):
+        raise AssertionError("a derived operator read the moments")
+
+    monkeypatch.setattr(fock._MomentMatrix, "__call__", no_moments)
+    for name, (op, want) in derived.items():
+        assert not isinstance(op, BilinearOperator), name
+        assert abs(expectation(op, state) - want) < 1e-12, name

@@ -31,3 +31,19 @@ def test_scipy_loaded_only_by_operator_builds(code, loads_scipy, child_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(loads_scipy)
+
+
+def test_moments_and_coherent_states_load_no_scipy(child_env):
+    code = (
+        "import numpy as np\n"
+        "from urtetrad.fock import BispinorAmplitudes, FockSpace, coherent_state\n"
+        "space = FockSpace(4)\n"
+        "space.moments(coherent_state(space, BispinorAmplitudes(1, 0, 0, 1), 0.1))\n"
+        "import sys\n"
+        "print('scipy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -158,6 +158,14 @@ def test_frame_metric_not_finite_rejected(bad):
         reconstruct_metric_general(identity_tetrad().vectors(), fm)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+def test_frame_vector_not_finite_rejected(bad):
+    frame = np.eye(4, dtype=complex)
+    frame[0, 0] = bad
+    with pytest.raises(ValueError, match="frame vectors are not finite"):
+        reconstruct_metric_general(frame, ETA)
+
+
 def test_real_tetrad_identity_point():
     # frozen from the quaternion polynomials at (1, 0, 0, 0)
     expected = {
