@@ -20,7 +20,7 @@ which FockSpace.moments computes once per state (Schwinger's oscillator
 construction, with four modes).
 
 scipy is imported on the first operator build; the basis, coherent states,
-moments and the bilinear entry arrays need only numpy.
+moments and the bilinear CSR patterns need only numpy.
 """
 
 from __future__ import annotations
@@ -95,13 +95,19 @@ class SparseOperator:
         mat = sparse.csr_array(matrix, dtype=complex)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
+        if not (mat.has_canonical_format and mat.data.all()):
+            # on a copy: the caller's buffers may be shared or read-only
+            mat = mat.copy()
+            mat.sum_duplicates()
+            mat.eliminate_zeros()
         mat.data.setflags(write=False)
         object.__setattr__(self, "_mat", mat)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseOperator is immutable")
+
+    def __reduce__(self):
+        return SparseOperator, (self._mat,)
 
     @classmethod
     def identity(cls, dimension: int) -> "SparseOperator":
@@ -202,6 +208,9 @@ class BilinearOperator(SparseOperator):
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "_moments", moments)
 
+    def __reduce__(self):
+        return BilinearOperator, (SparseOperator(self._mat), self._moments, self.coefficients)
+
 
 def _mode_index(r: int) -> int:
     if r not in (1, 2, 3, 4):
@@ -244,15 +253,16 @@ def _rank(occ) -> np.ndarray:
     those with this n1 and a smaller n2, plus n3.  Rows must lie in the
     basis; nothing here checks that.
     """
-    occ = np.asarray(occ, dtype=np.int64)
-    total = occ.sum(axis=1)
-    rest = total - occ[:, 0]
+    n1, n2, n3, n4 = np.asarray(occ, dtype=np.int64).T
+    # summed by column: numpy reduces a short last axis slowly
+    total = n1 + n2 + n3 + n4
+    rest = total - n1
     return (
         _choose(total + 4, 4)
         - _choose(rest + 3, 3)
         + _choose(rest + 2, 2)
-        - _choose(rest - occ[:, 1] + 2, 2)
-        + occ[:, 2]
+        - _choose(rest - n2 + 2, 2)
+        + n3
     )
 
 
@@ -266,7 +276,7 @@ class _MomentMatrix:
     of _MOMENT_BLOCK basis states.  It keeps only what that needs: the
     lower basis, the gather tables (built on first use) and the last
     state's moments.  Bilinear operators hold it rather than the space, so
-    they do not keep the space's pair gathers alive.
+    they do not keep the space's pattern tables alive.
     """
 
     __slots__ = ("_below", "_dimension", "_lowered", "_memo")
@@ -286,7 +296,7 @@ class _MomentMatrix:
         sqrt(m_k + 1)."""
         if self._lowered is None:
             below = self._below
-            # int32 positions, as in FockSpace._gather
+            # MAX_STATES < 2**31, so the positions fit int32
             positions = np.empty((N_MODES, len(below)), dtype=np.int32)
             weights = np.empty((N_MODES, len(below)))
             for k in range(N_MODES):
@@ -343,8 +353,8 @@ class FockSpace:
         self.dimension = dimension
         self.occupations = _occupations(cutoff)
         self.occupations.setflags(write=False)
-        # (k, j) with k < j -> the gather of a_k^+ a_j, filled by _tau_entries
-        self._gathers = {}
+        # CSR patterns of sums of a_k^+ a_j, filled by _pattern
+        self._patterns = {}
         self._moments = _MomentMatrix(self)
 
     def index_of(self, state) -> int:
@@ -400,65 +410,64 @@ class FockSpace:
         """a_r^+, the adjoint of a_r.  Annihilates the top total-quanta shell."""
         return self.annihilator(r).dagger()
 
-    def _tau_entries(self, r: int, s: int):
-        """(rows, cols, values) of tau_rs in normal-ordered form.
+    def _pattern(self, pairs):
+        """The canonical CSR pattern of the sum of a_k^+ a_j over (k, j)
+        pairs (0-based, k != j), kept per space: the pairs in column order,
+        read-only int64 indices and indptr, and each entry's pair and value.
 
-        For r == s that is the diagonal n_r + 1/2.  Otherwise it is
-        a_r^+ a_s, which moves one quantum from mode s to mode r and keeps
-        the total, so every image stays in the basis and the entries equal
-        those of the untruncated operator.  The two square roots stay
-        separate factors: sqrt((n_r + 1) n_s) rounds differently, and the
-        values must match the product of the truncated ladder matrices.
-
-        tau_sr is the adjoint of tau_rs and its entries are real, so each
-        mode pair is gathered once, for r < s, and kept read-only on the
-        space; tau_sr is the same arrays with rows and cols swapped.  Its
-        value at a swapped position is the same two roots in the other
-        order, so the values are bit-identical to a separate gather.
+        a_k^+ a_j |p + e_j> = sqrt(p_k + 1) sqrt(p_j + 1) |p + e_k> for p on
+        the basis of cutoff - 1, so the entries come from the moments'
+        lowering table.  A move keeps the shell, where the basis is
+        lexicographic in (n1, n2, n3), so every row holds the terms'
+        columns in the order of (e_j - e_k)[:3] and nothing is sorted.
         """
-        k, j = _mode_index(r), _mode_index(s)
-        if k == j:
-            diagonal = np.arange(self.dimension)
-            return diagonal, diagonal, self.occupations[:, k] + 0.5
-        pair = (min(k, j), max(k, j))
-        if pair not in self._gathers:
-            self._gathers[pair] = self._gather(*pair)
-        rows, cols, values = self._gathers[pair]
-        return (rows, cols, values) if k < j else (cols, rows, values)
-
-    def _gather(self, k: int, j: int):
-        """Read-only (rows, cols, values) of a_k^+ a_j over the basis (0-based modes)."""
-        cols = np.flatnonzero(self.occupations[:, j])
-        moved = self.occupations[cols]
-        values = np.sqrt(moved[:, k] + 1.0) * np.sqrt(moved[:, j].astype(float))
-        moved[:, k] += 1
-        moved[:, j] -= 1
-        # MAX_STATES < 2**31, so the positions fit int32 and the kept arrays
-        # take a third less memory
-        entries = (_rank(moved).astype(np.int32), cols.astype(np.int32), values)
-        for array in entries:
-            array.setflags(write=False)
-        return entries
+        order = tuple(sorted(pairs, key=lambda kj: [(m == kj[1]) - (m == kj[0]) for m in range(3)]))
+        if order not in self._patterns:
+            positions, weights = self._moments._lowering()
+            # row n holds an entry of a_k^+ a_j when n_k > 0
+            present = self.occupations[:, [k for k, _ in order]] > 0
+            indptr = np.zeros(self.dimension + 1, dtype=np.int64)
+            np.cumsum(present.sum(axis=1), out=indptr[1:])
+            # each row's place for the next term
+            place = indptr[:-1].copy()
+            indices = np.empty(indptr[-1], dtype=np.int64)
+            term = np.empty(indptr[-1], dtype=np.int8)
+            roots = np.empty(indptr[-1])
+            for t, (k, j) in enumerate(order):
+                dest = place[positions[k]]
+                place += present[:, t]
+                indices[dest] = positions[j]
+                term[dest] = t
+                # two roots, not one, as in the product of the ladder matrices
+                roots[dest] = weights[k] * weights[j]
+            for array in (indices, indptr):
+                array.setflags(write=False)
+            self._patterns[order] = order, indices, indptr, term, roots
+        return self._patterns[order]
 
     def _bilinear(self, terms) -> BilinearOperator:
-        """The sum of coeff * tau_rs over (coeff, r, s) terms."""
+        """The sum of coeff * tau_rs over (coeff, r, s) terms, all with r == s
+        or all with r != s.  tau_rr is n_r + 1/2; for r != s, tau_rs is
+        a_r^+ a_s, which keeps the total, so the entries equal those of the
+        untruncated operator."""
         coefficients = np.zeros((N_MODES, N_MODES), dtype=complex)
         for coeff, r, s in terms:
             coefficients[_mode_index(r), _mode_index(s)] += coeff
-        entries = [self._tau_entries(r, s) for _, r, s in terms]
-        scaled = [complex(coeff) * values for (coeff, _, _), (_, _, values) in zip(terms, entries)]
-        if all(r == s for _, r, s in terms):
+        pairs = {(r - 1, s - 1) for _, r, s in terms}
+        if all(k == j for k, j in pairs):
             # summed in term order, the same rounding as adding the tau matrices
-            op = SparseOperator.from_diagonal(sum(scaled))
+            op = SparseOperator.from_diagonal(
+                sum(complex(coeff) * (self.occupations[:, r - 1] + 0.5) for coeff, r, _ in terms)
+            )
+        elif self.cutoff == 0:  # no quantum moves; int32 like the ladder products
+            op = SparseOperator.zero(self.dimension)
         else:
-            # off-diagonal terms of one tetrad component move quanta between
-            # different mode pairs, so their positions are disjoint and
-            # nothing is summed
-            rows, cols, _ = zip(*entries)
-            # scipy keeps the index dtype it is given; the kept gathers are
-            # int32, and the operators' CSR indices stay int64
-            rows, cols = (np.concatenate(part, dtype=np.int64) for part in (rows, cols))
-            op = self._operator(rows, cols, np.concatenate(scaled))
+            from scipy import sparse
+
+            order, indices, indptr, term, roots = self._pattern(pairs)
+            data = np.take([coefficients[kj] for kj in order], term) * roots
+            shape = (self.dimension, self.dimension)
+            op = SparseOperator(sparse.csr_array((data, indices, indptr), shape=shape))
         return BilinearOperator(op, self._moments, coefficients)
 
     def moments(self, state) -> np.ndarray:

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -217,7 +219,7 @@ def test_operator_tetrad_structure():
         assert op.hermiticity_defect() < 1e-12
 
 
-def test_operator_tetrad_gathers_each_pair_once(monkeypatch):
+def test_operator_tetrad_ranks_the_lowering_table_once(monkeypatch):
     calls = []
 
     def counted_rank(occ):
@@ -227,18 +229,95 @@ def test_operator_tetrad_gathers_each_pair_once(monkeypatch):
     monkeypatch.setattr(fock, "_rank", counted_rank)
     space = FockSpace(4)
     first = operator_tetrad(space)
-    assert len(calls) == 6  # one gather per mode pair r < s
     second = operator_tetrad(space)
-    assert len(calls) == 6
+    space.moments(np.ones(space.dimension, dtype=complex))
+    # one rank per mode, on the basis of cutoff - 1, shared by builds and moments
+    assert calls == [math.comb(3 + 4, 4)] * 4
     for (_, a), (_, b) in zip(first.components(), second.components()):
         for part in ("data", "indices", "indptr"):
             assert getattr(a.matrix, part).tobytes() == getattr(b.matrix, part).tobytes()
-    rows, cols, values = space._tau_entries(1, 3)
-    adjoint = space._tau_entries(3, 1)
-    assert adjoint[0] is cols and adjoint[1] is rows and adjoint[2] is values
-    for array in (rows, cols, values):
-        with pytest.raises(ValueError):
-            array[0] = 0
+
+
+@pytest.mark.parametrize("cutoff", range(9))
+def test_tau_bytes_match_the_ladder_product(cutoff):
+    space = FockSpace(cutoff)
+    for r, s in itertools.permutations(MODES, 2):
+        want = (space.creator(r) @ space.annihilator(s)).matrix.copy()
+        want.sort_indices()
+        got = space.tau(r, s).matrix
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), (r, s, part)
+
+
+def _owner(array):
+    return array if array.base is None else array.base
+
+
+def test_components_of_one_mode_pair_class_share_their_pattern():
+    space = FockSpace(4)
+    comp = {name: tetrad_component(space, name) for name in TETRAD_BILINEARS}
+    classes = (("z1", "z2"), ("x1", "x2", "y1", "y2"), ("x3", "y3"))
+    for names in classes:
+        first = comp[names[0]].matrix
+        for name in names[1:]:
+            assert _owner(comp[name].matrix.indices) is _owner(first.indices)
+            assert _owner(comp[name].matrix.indptr) is _owner(first.indptr)
+        for part in (first.indices, first.indptr):
+            with pytest.raises(ValueError):
+                part[0] = 0
+    owners = {id(_owner(comp[names[0]].matrix.indices)) for names in classes}
+    assert len(owners) == 3
+
+
+def test_operator_matrix_wraps_again():
+    space = FockSpace(3)
+    for name, op in operator_tetrad(space).components():
+        again = SparseOperator(op.matrix)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(again.matrix, part).tobytes() == getattr(op.matrix, part).tobytes(), name
+    tau = FockSpace(2).tau(1, 2)
+    assert SparseOperator(tau.matrix).nnz == tau.nnz
+
+
+def test_explicit_zeros_are_dropped_from_a_copy():
+    from scipy import sparse
+
+    # sorted and without duplicates, so only the zero is out of form
+    data = np.array([1.0, 0.0, 2.0], dtype=complex)
+    indices = np.array([0, 1, 1])
+    indptr = np.array([0, 2, 3])
+    for array in (data, indices, indptr):
+        array.setflags(write=False)
+    mat = sparse.csr_array((data, indices, indptr), shape=(2, 2))
+    op = SparseOperator(mat)
+    assert op.nnz == 2 and op.triplets() == [(0, 0, 1.0), (1, 1, 2.0)]
+    assert mat.nnz == 3
+    assert data.tolist() == [1.0, 0.0, 2.0]
+    assert indices.tolist() == [0, 1, 1] and indptr.tolist() == [0, 2, 3]
+
+
+CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda op: pickle.loads(pickle.dumps(op)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(CLONES))
+def test_operators_copy_and_pickle(route):
+    space = FockSpace(2)
+    state = moment_states(space, 31)[2]
+    ops = (space.identity(), space.annihilator(2), space.tau(3, 3), tetrad_component(space, "x2"))
+    for op in ops:
+        twin = CLONES[route](op)
+        assert type(twin) is type(op)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(twin.matrix, part).tobytes() == getattr(op.matrix, part).tobytes()
+        assert not twin.matrix.data.flags.writeable
+        assert expectation(twin, state) == expectation(op, state)
+        if isinstance(op, BilinearOperator):
+            np.testing.assert_array_equal(twin.coefficients, op.coefficients)
+            assert not twin.coefficients.flags.writeable
 
 
 def test_z3_is_diagonal_with_expected_values():
