@@ -84,7 +84,9 @@ class SparseOperator:
     """Immutable complex sparse matrix over a Fock basis.
 
     Stored in canonical CSR form (sorted, deduplicated, no explicit
-    zeros) so the triplet listing is deterministic.
+    zeros) so the triplet listing is deterministic.  Its data, indices and
+    indptr are read-only, and a matrix passed in is copied, so no buffer
+    the caller still holds can change the operator.
     """
 
     __slots__ = ("_mat",)
@@ -92,15 +94,7 @@ class SparseOperator:
     def __init__(self, matrix):
         from scipy import sparse
 
-        mat = sparse.csr_array(matrix, dtype=complex)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if not (mat.has_canonical_format and mat.data.all()):
-            # on a copy: the caller's buffers may be shared or read-only
-            mat = mat.copy()
-            mat.sum_duplicates()
-            mat.eliminate_zeros()
-        mat.data.setflags(write=False)
+        mat = _frozen_csr(sparse.csr_array(matrix, dtype=complex), copy=True)
         object.__setattr__(self, "_mat", mat)
 
     def __setattr__(self, name, value):
@@ -109,24 +103,24 @@ class SparseOperator:
     def __reduce__(self):
         return SparseOperator, (self._mat,)
 
-    @classmethod
-    def identity(cls, dimension: int) -> "SparseOperator":
+    @staticmethod
+    def identity(dimension: int) -> "SparseOperator":
         from scipy import sparse
 
-        return cls(sparse.eye_array(dimension, dtype=complex, format="csr"))
+        return _own(sparse.eye_array(dimension, dtype=complex, format="csr"))
 
-    @classmethod
-    def zero(cls, dimension: int) -> "SparseOperator":
+    @staticmethod
+    def zero(dimension: int) -> "SparseOperator":
         from scipy import sparse
 
-        return cls(sparse.csr_array((dimension, dimension), dtype=complex))
+        return _own(sparse.csr_array((dimension, dimension), dtype=complex))
 
-    @classmethod
-    def from_diagonal(cls, values) -> "SparseOperator":
+    @staticmethod
+    def from_diagonal(values) -> "SparseOperator":
         from scipy import sparse
 
         values = np.asarray(values, dtype=complex)
-        return cls(sparse.diags_array(values, format="csr"))
+        return _own(sparse.diags_array(values, format="csr"))
 
     @property
     def dimension(self) -> int:
@@ -156,7 +150,7 @@ class SparseOperator:
         return self._mat.diagonal()
 
     def dagger(self) -> "SparseOperator":
-        return SparseOperator(self._mat.conj().T)
+        return _own(self._mat.conj().T.tocsr())
 
     def hermiticity_defect(self) -> float:
         diff = self._mat - self._mat.conj().T
@@ -169,25 +163,51 @@ class SparseOperator:
 
     def __matmul__(self, other):
         if isinstance(other, SparseOperator):
-            return SparseOperator(self._mat @ other._mat)
+            return _own(self._mat @ other._mat)
         return self._mat @ np.asarray(other, dtype=complex)
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self._mat + other._mat)
+        return _own(self._mat + other._mat)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self._mat - other._mat)
+        return _own(self._mat - other._mat)
 
     def __neg__(self) -> "SparseOperator":
-        return SparseOperator(-self._mat)
+        return _own(-self._mat)
 
     def __mul__(self, scalar) -> "SparseOperator":
-        return SparseOperator(self._mat * complex(scalar))
+        return _own(self._mat * complex(scalar))
 
     __rmul__ = __mul__
 
     def __repr__(self):
         return f"SparseOperator(dimension={self.dimension}, nnz={self.nnz})"
+
+
+def _frozen_csr(mat, copy: bool):
+    """A square CSR array in canonical form with read-only arrays.
+
+    It is canonicalised on a copy, never in place, because its arrays may
+    be a caller's buffers or a pattern shared by several operators; with
+    copy, it is copied even when it is canonical.
+    """
+    if mat.shape[0] != mat.shape[1]:
+        raise ValueError("operator matrix must be square")
+    if copy or not (mat.has_canonical_format and mat.data.all()):
+        mat = mat.copy()
+        mat.sum_duplicates()
+        mat.eliminate_zeros()
+    for part in (mat.data, mat.indices, mat.indptr):
+        part.setflags(write=False)
+    return mat
+
+
+def _own(mat) -> SparseOperator:
+    """The operator of a complex CSR array built here and held by no caller:
+    frozen in place rather than copied."""
+    op = object.__new__(SparseOperator)
+    object.__setattr__(op, "_mat", _frozen_csr(mat, copy=False))
+    return op
 
 
 class BilinearOperator(SparseOperator):
@@ -209,7 +229,7 @@ class BilinearOperator(SparseOperator):
         object.__setattr__(self, "_moments", moments)
 
     def __reduce__(self):
-        return BilinearOperator, (SparseOperator(self._mat), self._moments, self.coefficients)
+        return BilinearOperator, (_own(self._mat), self._moments, self.coefficients)
 
 
 def _mode_index(r: int) -> int:
@@ -266,6 +286,22 @@ def _rank(occ) -> np.ndarray:
     )
 
 
+def _frozen_state(state: np.ndarray) -> np.ndarray:
+    """A complex128 copy of state on an immutable bytes buffer; such an
+    array can never be made writable again, so its values never change."""
+    return np.frombuffer(np.asarray(state, dtype=complex).tobytes(), dtype=complex)
+
+
+def _as_state(state, dimension: int) -> np.ndarray:
+    """state as a complex array; DimensionMismatchError unless its shape is (dimension,)."""
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (dimension,):
+        raise DimensionMismatchError(
+            f"state shape {state.shape} does not match dimension {dimension}"
+        )
+    return state
+
+
 class _MomentMatrix:
     """The moments of states of one FockSpace (FockSpace.moments).
 
@@ -277,16 +313,21 @@ class _MomentMatrix:
     lower basis, the gather tables (built on first use) and the last
     state's moments.  Bilinear operators hold it rather than the space, so
     they do not keep the space's pattern tables alive.
+
+    The last state is kept frozen (on a bytes buffer, as coherent_state
+    returns it): a frozen state is kept as it is, any other as a frozen
+    copy.  Passing the kept object again hits with no comparison, since
+    its values cannot change; any other array hits only if its bytes equal
+    the kept ones, so a state changed in place misses.
     """
 
-    __slots__ = ("_below", "_dimension", "_lowered", "_memo")
+    __slots__ = ("_below", "_lowered", "_memo")
 
     def __init__(self, space: "FockSpace"):
         self._below = space.occupations[: math.comb(space.cutoff - 1 + N_MODES, N_MODES)]
-        self._dimension = space.dimension
         # (positions, weights), filled by _lowering
         self._lowered = None
-        # (int64 view of a copy of the last state's bytes, its moments)
+        # (the last state, frozen; its moments)
         self._memo = None
 
     def _lowering(self):
@@ -309,16 +350,14 @@ class _MomentMatrix:
             self._lowered = positions, weights
         return self._lowered
 
-    def __call__(self, state) -> np.ndarray:
-        state = np.ascontiguousarray(state, dtype=complex)
-        if state.shape != (self._dimension,):
-            raise DimensionMismatchError(
-                f"state shape {state.shape} does not match space dimension {self._dimension}"
-            )
-        key = state.view(np.int64)
+    def __call__(self, state: np.ndarray) -> np.ndarray:
+        """Moments of a complex state whose shape the caller has checked."""
         # read once, so a state is never paired with another state's moments
         memo = self._memo
-        if memo is not None and (memo[0] == key).all():
+        if memo is not None and state is memo[0]:
+            return memo[1]
+        state = np.ascontiguousarray(state)
+        if memo is not None and (memo[0].view(np.int64) == state.view(np.int64)).all():
             return memo[1]
         positions, weights = self._lowering()
         moments = np.zeros((N_MODES, N_MODES), dtype=complex)
@@ -329,7 +368,7 @@ class _MomentMatrix:
             moments += np.conj(lowered) @ lowered.T
         moments.flat[:: N_MODES + 1] += 0.5 * np.vdot(state, state).real
         moments.setflags(write=False)
-        self._memo = (key.copy(), moments)
+        self._memo = (state if isinstance(state.base, bytes) else _frozen_state(state), moments)
         return moments
 
 
@@ -356,6 +395,8 @@ class FockSpace:
         # CSR patterns of sums of a_k^+ a_j, filled by _pattern
         self._patterns = {}
         self._moments = _MomentMatrix(self)
+        # what coherent_state reads, filled by _coherent_tables
+        self._coherent = None
 
     def index_of(self, state) -> int:
         """Basis position of an occupation tuple; KeyError if it is not in the basis."""
@@ -395,7 +436,7 @@ class FockSpace:
             (np.asarray(values, dtype=complex), (rows, cols)),
             shape=(self.dimension, self.dimension),
         )
-        return SparseOperator(mat)
+        return _own(mat)
 
     def annihilator(self, r: int) -> SparseOperator:
         """a_r: maps |.. n_r ..> to sqrt(n_r) |.. n_r - 1 ..>."""
@@ -409,6 +450,23 @@ class FockSpace:
     def creator(self, r: int) -> SparseOperator:
         """a_r^+, the adjoint of a_r.  Annihilates the top total-quanta shell."""
         return self.annihilator(r).dagger()
+
+    def _coherent_tables(self):
+        """(powers, root factorials, index), built on first use: the powers
+        n and sqrt(n!) for n = 0..cutoff, and a read-only int32 (2, D)
+        index whose row 0 holds each basis state's flat position
+        (n1, n2, n3) in a (cutoff + 1)^3 table and row 1 its n4."""
+        if self._coherent is None:
+            side = self.cutoff + 1
+            powers = np.arange(side)
+            roots = np.sqrt(np.cumprod(np.concatenate(([1.0], np.arange(1.0, side)))))
+            n1, n2, n3, n4 = self.occupations.T
+            # MAX_STATES bounds side^3 below 2**31
+            index = np.array(((n1 * side + n2) * side + n3, n4), dtype=np.int32)
+            for array in (powers, roots, index):
+                array.setflags(write=False)
+            self._coherent = powers, roots, index
+        return self._coherent
 
     def _pattern(self, pairs):
         """The canonical CSR pattern of the sum of a_k^+ a_j over (k, j)
@@ -467,7 +525,7 @@ class FockSpace:
             order, indices, indptr, term, roots = self._pattern(pairs)
             data = np.take([coefficients[kj] for kj in order], term) * roots
             shape = (self.dimension, self.dimension)
-            op = SparseOperator(sparse.csr_array((data, indices, indptr), shape=shape))
+            op = _own(sparse.csr_array((data, indices, indptr), shape=shape))
         return BilinearOperator(op, self._moments, coefficients)
 
     def moments(self, state) -> np.ndarray:
@@ -475,9 +533,10 @@ class FockSpace:
 
         The space keeps the last state's moments, keyed by its exact
         bytes, so the operators evaluated on one state share them; a state
-        changed in place misses the key.
+        changed in place misses the key.  Passing the same frozen state
+        (such as a coherent_state) again skips the comparison.
         """
-        return self._moments(state)
+        return self._moments(_as_state(state, self.dimension))
 
     def tau(self, r: int, s: int) -> BilinearOperator:
         """Symmetrized bilinear (1/2){a_r^+, a_s} projected to the truncated basis.
@@ -568,10 +627,6 @@ def operator_tetrad(space: FockSpace) -> OperatorTetrad:
     )
 
 
-def _sqrt_factorials(n: int) -> np.ndarray:
-    return np.sqrt(np.cumprod(np.concatenate(([1.0], np.arange(1.0, n + 1.0)))))
-
-
 def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> np.ndarray:
     """Normalized truncated coherent state with mode amplitudes scale * u_r.
 
@@ -580,23 +635,23 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
     exceeds MAX_DEFICIT or is not finite (a NaN amplitude, an overflowing
     weight) the state is refused as TruncationTooLossyError.  A non-finite scale
     is refused as ValueError.
+
+    The state is complex128 and frozen: its buffer is an immutable bytes
+    object, so setflags(write=True) raises on it.  The space's moments of
+    it can therefore be kept by identity, and the expectations of all
+    components of one state cost one moment matrix and no byte comparison.
     """
     scale = float(scale)
     if not math.isfinite(scale):
         raise ValueError(f"coherent scale {scale!r} is not finite")
     alphas = scale * amps.as_array()
-    sq = _sqrt_factorials(space.cutoff)
-    powers = np.arange(space.cutoff + 1)
-    occ = space.occupations
+    powers, roots, (product_index, n4) = space._coherent_tables()
     # huge amplitudes overflow here into a NaN deficit, which the gate refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = [alpha**powers / sq for alpha in alphas]
-        coeffs = (
-            tables[0][occ[:, 0]]
-            * tables[1][occ[:, 1]]
-            * tables[2][occ[:, 2]]
-            * tables[3][occ[:, 3]]
-        )
+        t1, t2, t3, t4 = alphas[:, None] ** powers / roots
+        # ((t1 t2) t3) t4 per basis state: the first three from one table
+        coeffs = np.multiply.outer(np.multiply.outer(t1, t2), t3).take(product_index)
+        coeffs *= t4.take(n4)
         norm_sq = float(np.vdot(coeffs, coeffs).real)
         intensity = float(np.sum(np.abs(alphas) ** 2))
     deficit = 1.0 - norm_sq * math.exp(-intensity)
@@ -609,9 +664,8 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
         raise TruncationTooLossyError(
             f"truncation discards {deficit:.3e} of the state weight, above {MAX_DEFICIT}"
         )
-    state = coeffs / math.sqrt(norm_sq)
-    state.setflags(write=False)
-    return state
+    coeffs /= math.sqrt(norm_sq)
+    return _frozen_state(coeffs)
 
 
 def coherent_bilinear_value(amps: BispinorAmplitudes, scale: float, terms) -> complex:
@@ -635,11 +689,7 @@ def expectation(op: SparseOperator, state) -> complex:
     state and space; any other operator multiplies the state.  An operator with
     no entries gives 0.
     """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (op.dimension,):
-        raise DimensionMismatchError(
-            f"state shape {state.shape} does not match operator dimension {op.dimension}"
-        )
+    state = _as_state(state, op.dimension)
     if not op.nnz:
         return 0j
     if isinstance(op, BilinearOperator):

@@ -296,6 +296,42 @@ def test_explicit_zeros_are_dropped_from_a_copy():
     assert indices.tolist() == [0, 1, 1] and indptr.tolist() == [0, 2, 3]
 
 
+@pytest.mark.parametrize("part, at, value", [("data", 0, 7.0), ("indices", 0, 1), ("indptr", 1, 0)])
+def test_caller_buffers_cannot_change_an_operator(part, at, value):
+    from scipy import sparse
+
+    mat = sparse.csr_array(np.array([[1, 0], [0, 2]], dtype=complex))
+    op = SparseOperator(mat)
+    before = op.triplets()
+    getattr(mat, part)[at] = value
+    assert op.triplets() == before
+    for own in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+        assert not np.shares_memory(own, getattr(mat, part))
+
+
+def test_operator_arrays_are_read_only():
+    space = FockSpace(2)
+    z1 = tetrad_component(space, "z1")
+    ops = {
+        "identity": space.identity(),
+        "zero": operator_tetrad(space).z_hat[0],
+        "total_quanta": space.total_quanta(),
+        "annihilator": space.annihilator(3),
+        "z1": z1,
+        "z3": tetrad_component(space, "z3"),
+        "dagger": z1.dagger(),
+        "product": space.creator(1) @ space.annihilator(2),
+        "sum": z1 + space.tau(1, 1),
+        "difference": z1 - z1,
+        "negation": -z1,
+        "scalar": 0.5 * z1,
+        "wrapped": SparseOperator(np.eye(3)),
+    }
+    for name, op in ops.items():
+        for part in ("data", "indices", "indptr"):
+            assert not getattr(op.matrix, part).flags.writeable, (name, part)
+
+
 CLONES = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
@@ -539,6 +575,37 @@ def test_cutoff30_components_pinned():
     assert digest.hexdigest() == CUTOFF30_CSR_SHA256
 
 
+# sha256 of the coherent-state bytes of three seeded draws at cutoffs 4 and
+# 30, and of the 16 expectation values at cutoff 30 on two seeded coherent
+# states, recorded before the coherent state was gathered from one product
+# table and frozen
+COHERENT_STATE_SHA256 = "712bb32d661d3b006109d38fcc0410f43340e4221493dc0f25b34780305431b8"
+CUTOFF30_EXPECTATION_SHA256 = "4891c74e8b6990ecbb241354636d45d18f806fb312be540356d4449f3fa6c585"
+
+
+def test_coherent_state_bytes_pinned():
+    digest = hashlib.sha256()
+    for cutoff, scale in ((4, 0.1), (30, 0.5)):
+        space = FockSpace(cutoff)
+        rng = np.random.default_rng(cutoff)
+        for _ in range(3):
+            amps = BispinorAmplitudes.from_element(random_group_element(rng))
+            digest.update(coherent_state(space, amps, scale).tobytes())
+    assert digest.hexdigest() == COHERENT_STATE_SHA256
+
+
+def test_cutoff30_expectations_pinned():
+    space = FockSpace(30)
+    ops = [op for _, op in operator_tetrad(space).components()]
+    rng = np.random.default_rng(31)
+    digest = hashlib.sha256()
+    for _ in range(2):
+        amps = BispinorAmplitudes.from_element(random_group_element(rng))
+        state = coherent_state(space, amps, 0.5)
+        digest.update(np.array([expectation(op, state) for op in ops]).tobytes())
+    assert digest.hexdigest() == CUTOFF30_EXPECTATION_SHA256
+
+
 @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
 def test_coherent_nonfinite_scale_rejected(scale):
     space = FockSpace(2)
@@ -648,6 +715,63 @@ def test_zero_component_skips_the_state():
         expectation(zero, np.ones(space.dimension + 1))
     with pytest.raises(DimensionMismatchError):
         expectation(tetrad_component(space, "z1"), np.ones(space.dimension - 1))
+
+
+def test_coherent_states_are_frozen_complex():
+    space = FockSpace(3)
+    real = coherent_state(space, BispinorAmplitudes(1, 0, 0, 1), 0.1)
+    assert real.dtype == np.complex128 and not real.imag.any()
+    phased = coherent_state(space, BispinorAmplitudes(1j, 0, 0, 1j), 0.1)
+    for state in (real, phased):
+        assert not state.flags.writeable
+        with pytest.raises(ValueError):
+            state.setflags(write=True)
+
+
+def _no_lowering(self):
+    raise AssertionError("the moments were computed again")
+
+
+def test_components_of_one_coherent_state_share_one_moment_matrix(monkeypatch):
+    space = FockSpace(4)
+    comps = [tetrad_component(space, name) for name in TETRAD_BILINEARS]
+    amps = BispinorAmplitudes.from_element(random_group_element(np.random.default_rng(37)))
+    state = coherent_state(space, amps, 0.1)
+    first = expectation(comps[0], state)
+    # the frozen state itself is the key, so the next calls hit by identity
+    assert space._moments._memo[0] is state
+    monkeypatch.setattr(fock._MomentMatrix, "_lowering", _no_lowering)
+    values = [first] + [expectation(op, state) for op in comps[1:]]
+    for op, value in zip(comps, values):
+        assert abs(value - np.vdot(state, op.matrix @ state)) < 1e-12
+
+
+def test_a_writable_copy_of_the_state_hits_through_its_bytes(monkeypatch):
+    space = FockSpace(4)
+    state = coherent_state(space, BispinorAmplitudes.from_element(GroupElement(0.6, 0.8j)), 0.1)
+    op = tetrad_component(space, "x2")
+    value = expectation(op, state)
+    twin = np.array(state)
+    assert twin.flags.writeable
+    monkeypatch.setattr(fock._MomentMatrix, "_lowering", _no_lowering)
+    assert expectation(op, twin) == value
+    assert space._moments._memo[0] is state
+
+
+def test_a_state_frozen_again_after_a_change_misses():
+    space = FockSpace(4)
+    state = moment_states(space, 41)[2]
+    state.setflags(write=False)
+    op = tetrad_component(space, "y1")
+    before = expectation(op, state)
+    state.setflags(write=True)
+    state[5] += 0.25j
+    state.setflags(write=False)
+    after = expectation(op, state)
+    assert after != before
+    assert abs(after - np.vdot(state, op.matrix @ state)) < 1e-12
+    with pytest.raises(DimensionMismatchError):
+        space.moments(state[:-1])
 
 
 def test_derived_operators_take_the_matvec_route(monkeypatch):
