@@ -94,7 +94,7 @@ class SparseOperator:
     def __init__(self, matrix):
         from scipy import sparse
 
-        mat = _frozen_csr(sparse.csr_array(matrix, dtype=complex), copy=True)
+        mat = _frozen_csr(sparse.csr_array(matrix, dtype=complex).copy())
         object.__setattr__(self, "_mat", mat)
 
     def __setattr__(self, name, value):
@@ -184,16 +184,15 @@ class SparseOperator:
         return f"SparseOperator(dimension={self.dimension}, nnz={self.nnz})"
 
 
-def _frozen_csr(mat, copy: bool):
+def _frozen_csr(mat):
     """A square CSR array in canonical form with read-only arrays.
 
     It is canonicalised on a copy, never in place, because its arrays may
-    be a caller's buffers or a pattern shared by several operators; with
-    copy, it is copied even when it is canonical.
+    be a pattern shared by several operators.
     """
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("operator matrix must be square")
-    if copy or not (mat.has_canonical_format and mat.data.all()):
+    if not (mat.has_canonical_format and mat.data.all()):
         mat = mat.copy()
         mat.sum_duplicates()
         mat.eliminate_zeros()
@@ -206,7 +205,7 @@ def _own(mat) -> SparseOperator:
     """The operator of a complex CSR array built here and held by no caller:
     frozen in place rather than copied."""
     op = object.__new__(SparseOperator)
-    object.__setattr__(op, "_mat", _frozen_csr(mat, copy=False))
+    object.__setattr__(op, "_mat", _frozen_csr(mat))
     return op
 
 
@@ -314,14 +313,15 @@ class _MomentMatrix:
     state's moments.  Bilinear operators hold it rather than the space, so
     they do not keep the space's pattern tables alive.
 
-    The last state is kept frozen (on a bytes buffer, as coherent_state
-    returns it): a frozen state is kept as it is, any other as a frozen
-    copy.  Passing the kept object again hits with no comparison, since
-    its values cannot change; any other array hits only if its bytes equal
-    the kept ones, so a state changed in place misses.
+    The last state is kept frozen: the last state coherent_state made for
+    the space (on an immutable bytes buffer) is kept as it is, any other
+    array as a frozen copy, even one on a bytes buffer, which unpickling
+    can leave writable.  Passing the kept object again hits with no
+    comparison, since its values cannot change; any other array hits only
+    if its bytes equal the kept ones, so a state changed in place misses.
     """
 
-    __slots__ = ("_below", "_lowered", "_memo")
+    __slots__ = ("_below", "_lowered", "_memo", "_made")
 
     def __init__(self, space: "FockSpace"):
         self._below = space.occupations[: math.comb(space.cutoff - 1 + N_MODES, N_MODES)]
@@ -329,6 +329,8 @@ class _MomentMatrix:
         self._lowered = None
         # (the last state, frozen; its moments)
         self._memo = None
+        # the last state coherent_state made for the space, frozen
+        self._made = None
 
     def _lowering(self):
         """Read-only (positions, weights), each (4, D'):
@@ -368,7 +370,7 @@ class _MomentMatrix:
             moments += np.conj(lowered) @ lowered.T
         moments.flat[:: N_MODES + 1] += 0.5 * np.vdot(state, state).real
         moments.setflags(write=False)
-        self._memo = (state if isinstance(state.base, bytes) else _frozen_state(state), moments)
+        self._memo = (state if state is self._made else _frozen_state(state), moments)
         return moments
 
 
@@ -637,8 +639,9 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
     is refused as ValueError.
 
     The state is complex128 and frozen: its buffer is an immutable bytes
-    object, so setflags(write=True) raises on it.  The space's moments of
-    it can therefore be kept by identity, and the expectations of all
+    object, so setflags(write=True) raises on it, and the space's moment
+    object records it as the last state made for the space.  Its moments
+    can therefore be kept by identity, and the expectations of all
     components of one state cost one moment matrix and no byte comparison.
     """
     scale = float(scale)
@@ -665,7 +668,9 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
             f"truncation discards {deficit:.3e} of the state weight, above {MAX_DEFICIT}"
         )
     coeffs /= math.sqrt(norm_sq)
-    return _frozen_state(coeffs)
+    state = _frozen_state(coeffs)
+    space._moments._made = state
+    return state
 
 
 def coherent_bilinear_value(amps: BispinorAmplitudes, scale: float, terms) -> complex:

@@ -774,6 +774,24 @@ def test_a_state_frozen_again_after_a_change_misses():
         space.moments(state[:-1])
 
 
+@pytest.mark.parametrize("protocol", [2, 4])
+def test_an_unpickled_coherent_state_changed_in_place_misses(protocol):
+    space = FockSpace(4)
+    amps = BispinorAmplitudes.from_element(random_group_element(np.random.default_rng(43)))
+    state = pickle.loads(pickle.dumps(coherent_state(space, amps, 0.1), protocol=protocol))
+    # numpy unpickles these 1120 bytes as a writable array on plain bytes
+    assert state.flags.writeable and isinstance(state.base, bytes)
+    op = tetrad_component(space, "z1")
+    # asked directly: expectation may pass the memo a view with numpy's own dtype
+    before = space._moments(state)
+    state[5] += 1
+    after = space._moments(state)
+    assert (after != before).any()
+    truth = np.vdot(state, op.matrix @ state)
+    assert abs((op.coefficients * after).sum() - truth) < 1e-12
+    assert abs(expectation(op, state) - truth) < 1e-12
+
+
 def test_derived_operators_take_the_matvec_route(monkeypatch):
     space = FockSpace(4)
     state = moment_states(space, 19)[3]
