@@ -45,6 +45,7 @@ from .tetrad import (
 )
 from .fock import (
     TETRAD_BILINEARS,
+    TETRAD_COEFFICIENTS,
     BadModeError,
     BilinearOperator,
     BispinorAmplitudes,
@@ -59,6 +60,7 @@ from .fock import (
     expectation,
     operator_tetrad,
     tetrad_component,
+    tetrad_expectations,
 )
 from .cosmos import (
     UR_COUNT_REFERENCE,

@@ -17,7 +17,10 @@ projects exactly.
 Expectations of the bilinears do not multiply by their matrices: every
 tau_rs combination is linear in the 16 moments <tau_rs> of the state,
 which FockSpace.moments computes once per state (Schwinger's oscillator
-construction, with four modes).
+construction, with four modes).  The ten tetrad components are the rows
+of one (10, 4, 4) tensor TETRAD_COEFFICIENTS, so all ten values of a
+state come from one contraction with its moments (tetrad_expectations),
+computed and kept together with them.
 
 scipy is imported on the first operator build; the basis, coherent states,
 moments and the bilinear CSR patterns need only numpy.
@@ -38,6 +41,7 @@ __all__ = [
     "MAX_STATES",
     "MAX_DEFICIT",
     "TETRAD_BILINEARS",
+    "TETRAD_COEFFICIENTS",
     "CutoffTooLargeError",
     "BadModeError",
     "TruncationTooLossyError",
@@ -52,6 +56,7 @@ __all__ = [
     "coherent_state",
     "coherent_bilinear_value",
     "expectation",
+    "tetrad_expectations",
 ]
 
 N_MODES = 4
@@ -214,27 +219,45 @@ class BilinearOperator(SparseOperator):
     also keeps its 4x4 coefficient matrix C and its space's moments.
 
     expectation contracts C with the state's moments instead of
-    multiplying by the matrix.  It shares the matrix of the canonical,
-    frozen operator it is made from.  Arithmetic on it (dagger, sums,
-    products, scalar multiples) gives plain SparseOperators.
+    multiplying by the matrix; a tetrad component knows its row of
+    TETRAD_COEFFICIENTS and reads its value from the ten kept with the
+    moments.  It shares the matrix of the canonical, frozen operator it is
+    made from.  Arithmetic on it (dagger, sums, products, scalar
+    multiples) gives plain SparseOperators.
     """
 
-    __slots__ = ("coefficients", "_moments")
+    __slots__ = ("coefficients", "_moments", "_row")
 
-    def __init__(self, op: SparseOperator, moments: "_MomentMatrix", coefficients: np.ndarray):
+    def __init__(
+        self,
+        op: SparseOperator,
+        moments: "_MomentMatrix",
+        coefficients: np.ndarray,
+        row: int | None = None,
+    ):
         coefficients.setflags(write=False)
         object.__setattr__(self, "_mat", op.matrix)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "_moments", moments)
+        object.__setattr__(self, "_row", row)
 
     def __reduce__(self):
-        return BilinearOperator, (_own(self._mat), self._moments, self.coefficients)
+        return BilinearOperator, (_own(self._mat), self._moments, self.coefficients, self._row)
 
 
 def _mode_index(r: int) -> int:
     if r not in (1, 2, 3, 4):
         raise BadModeError(f"mode index {r!r} outside 1..{N_MODES}")
     return r - 1
+
+
+def _coefficient_matrix(terms) -> np.ndarray:
+    """The 4x4 C with sum_rs C[r-1, s-1] tau_rs the sum of coeff * tau_rs
+    over (coeff, r, s) terms."""
+    coefficients = np.zeros((N_MODES, N_MODES), dtype=complex)
+    for coeff, r, s in terms:
+        coefficients[_mode_index(r), _mode_index(s)] += coeff
+    return coefficients
 
 
 def _occupations(cutoff: int) -> np.ndarray:
@@ -310,8 +333,9 @@ class _MomentMatrix:
     4x4 Gram matrix of four gathered and weighted vectors, summed in blocks
     of _MOMENT_BLOCK basis states.  It keeps only what that needs: the
     lower basis, the gather tables (built on first use) and the last
-    state's moments.  Bilinear operators hold it rather than the space, so
-    they do not keep the space's pattern tables alive.
+    state's moments with its ten tetrad values.  Bilinear operators hold it
+    rather than the space, so they do not keep the space's pattern tables
+    alive.  It pickles as its cutoff alone.
 
     The last state is kept frozen: the last state coherent_state made for
     the space (on an immutable bytes buffer) is kept as it is, any other
@@ -319,18 +343,28 @@ class _MomentMatrix:
     can leave writable.  Passing the kept object again hits with no
     comparison, since its values cannot change; any other array hits only
     if its bytes equal the kept ones, so a state changed in place misses.
+    The state coherent_state made last is not compared on a miss: a byte
+    match could only give what recomputing gives bit for bit.
     """
 
-    __slots__ = ("_below", "_lowered", "_memo", "_made")
+    __slots__ = ("_cutoff", "_below", "_lowered", "_memo", "_made")
 
-    def __init__(self, space: "FockSpace"):
-        self._below = space.occupations[: math.comb(space.cutoff - 1 + N_MODES, N_MODES)]
+    def __init__(self, cutoff: int, below: np.ndarray | None = None):
+        """below is the basis of cutoff - 1, built here unless given."""
+        if below is None:
+            below = _occupations(cutoff - 1) if cutoff else np.empty((0, N_MODES), dtype=np.int64)
+            below.setflags(write=False)
+        self._cutoff = cutoff
+        self._below = below
         # (positions, weights), filled by _lowering
         self._lowered = None
-        # (the last state, frozen; its moments)
+        # (the last state, frozen; its moments; its ten tetrad values)
         self._memo = None
         # the last state coherent_state made for the space, frozen
         self._made = None
+
+    def __reduce__(self):
+        return _MomentMatrix, (self._cutoff,)
 
     def _lowering(self):
         """Read-only (positions, weights), each (4, D'):
@@ -354,13 +388,19 @@ class _MomentMatrix:
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
         """Moments of a complex state whose shape the caller has checked."""
+        return self._entry(state)[1]
+
+    def _entry(self, state: np.ndarray) -> tuple:
+        """(the kept state, its moments, its ten tetrad values) of a complex
+        state whose shape the caller has checked."""
         # read once, so a state is never paired with another state's moments
         memo = self._memo
         if memo is not None and state is memo[0]:
-            return memo[1]
+            return memo
         state = np.ascontiguousarray(state)
-        if memo is not None and (memo[0].view(np.int64) == state.view(np.int64)).all():
-            return memo[1]
+        made = state is self._made
+        if memo is not None and not made and (memo[0].view(np.int64) == state.view(np.int64)).all():
+            return memo
         positions, weights = self._lowering()
         moments = np.zeros((N_MODES, N_MODES), dtype=complex)
         for start in range(0, positions.shape[1], _MOMENT_BLOCK):
@@ -370,8 +410,9 @@ class _MomentMatrix:
             moments += np.conj(lowered) @ lowered.T
         moments.flat[:: N_MODES + 1] += 0.5 * np.vdot(state, state).real
         moments.setflags(write=False)
-        self._memo = (state if state is self._made else _frozen_state(state), moments)
-        return moments
+        memo = (state if made else _frozen_state(state), moments, _tetrad_values(moments))
+        self._memo = memo
+        return memo
 
 
 class FockSpace:
@@ -396,7 +437,8 @@ class FockSpace:
         self.occupations.setflags(write=False)
         # CSR patterns of sums of a_k^+ a_j, filled by _pattern
         self._patterns = {}
-        self._moments = _MomentMatrix(self)
+        below = self.occupations[: math.comb(cutoff - 1 + N_MODES, N_MODES)]
+        self._moments = _MomentMatrix(cutoff, below)
         # what coherent_state reads, filled by _coherent_tables
         self._coherent = None
 
@@ -505,14 +547,13 @@ class FockSpace:
             self._patterns[order] = order, indices, indptr, term, roots
         return self._patterns[order]
 
-    def _bilinear(self, terms) -> BilinearOperator:
+    def _bilinear(self, terms, row: int | None = None) -> BilinearOperator:
         """The sum of coeff * tau_rs over (coeff, r, s) terms, all with r == s
-        or all with r != s.  tau_rr is n_r + 1/2; for r != s, tau_rs is
-        a_r^+ a_s, which keeps the total, so the entries equal those of the
-        untruncated operator."""
-        coefficients = np.zeros((N_MODES, N_MODES), dtype=complex)
-        for coeff, r, s in terms:
-            coefficients[_mode_index(r), _mode_index(s)] += coeff
+        or all with r != s; row is the terms' row of TETRAD_COEFFICIENTS
+        when they are a tetrad component.  tau_rr is n_r + 1/2; for r != s,
+        tau_rs is a_r^+ a_s, which keeps the total, so the entries equal
+        those of the untruncated operator."""
+        coefficients = _coefficient_matrix(terms) if row is None else TETRAD_COEFFICIENTS[row]
         pairs = {(r - 1, s - 1) for _, r, s in terms}
         if all(k == j for k, j in pairs):
             # summed in term order, the same rounding as adding the tau matrices
@@ -528,7 +569,7 @@ class FockSpace:
             data = np.take([coefficients[kj] for kj in order], term) * roots
             shape = (self.dimension, self.dimension)
             op = _own(sparse.csr_array((data, indices, indptr), shape=shape))
-        return BilinearOperator(op, self._moments, coefficients)
+        return BilinearOperator(op, self._moments, coefficients, row)
 
     def moments(self, state) -> np.ndarray:
         """Read-only (4, 4) moments M[r-1, s-1] = <state| tau_rs |state>.
@@ -586,15 +627,26 @@ TETRAD_BILINEARS = {
     "y2": ((-0.5, 1, 4), (-0.5, 4, 1), (0.5, 2, 3), (0.5, 3, 2)),
     "y3": ((-0.5j, 1, 3), (0.5j, 3, 1), (0.5j, 2, 4), (-0.5j, 4, 2)),
 }
+# The same combinations as one read-only (10, 4, 4) tensor, a row per
+# component in TETRAD_BILINEARS order.
+TETRAD_COEFFICIENTS = np.array([_coefficient_matrix(terms) for terms in TETRAD_BILINEARS.values()])
+TETRAD_COEFFICIENTS.setflags(write=False)
+_TETRAD_ROWS = {name: row for row, name in enumerate(TETRAD_BILINEARS)}
+
+
+def _tetrad_values(moments: np.ndarray) -> tuple:
+    """The ten tetrad values of a state, in TETRAD_BILINEARS order, from
+    its moments; each row sums like (C * moments).sum() of its component."""
+    return tuple((TETRAD_COEFFICIENTS * moments).sum(axis=(1, 2)).tolist())
 
 
 def tetrad_component(space: FockSpace, name: str) -> BilinearOperator:
     """One named component of the operator tetrad (t0, z1..z3, x1..x3, y1..y3)."""
     try:
-        terms = TETRAD_BILINEARS[name]
+        row = _TETRAD_ROWS[name]
     except KeyError:
         raise ValueError(f"unknown tetrad component {name!r}") from None
-    return space._bilinear(terms)
+    return space._bilinear(TETRAD_BILINEARS[name], row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -689,14 +741,31 @@ def coherent_bilinear_value(amps: BispinorAmplitudes, scale: float, terms) -> co
 def expectation(op: SparseOperator, state) -> complex:
     """<state| op |state>; real up to rounding when op is Hermitian.
 
-    A BilinearOperator (every tau and tetrad component) contracts its
-    coefficients with the state's moments, which are computed once per
-    state and space; any other operator multiplies the state.  An operator with
-    no entries gives 0.
+    A tetrad component returns its value among the ten that the space
+    computes, in one contraction, and keeps with the state's moments (see
+    tetrad_expectations).  Any other BilinearOperator (tau and its
+    combinations) contracts its coefficients with those moments, which are
+    computed once per state and space; any other operator multiplies the
+    state.  An operator with no entries gives 0.
     """
     state = _as_state(state, op.dimension)
     if not op.nnz:
         return 0j
     if isinstance(op, BilinearOperator):
+        if op._row is not None:
+            return op._moments._entry(state)[2][op._row]
         return complex((op.coefficients * op._moments(state)).sum())
     return complex(np.vdot(state, op @ state))
+
+
+def tetrad_expectations(space: FockSpace, state) -> tuple:
+    """The expectations of the ten tetrad components on state, in
+    TETRAD_BILINEARS order: one contraction of TETRAD_COEFFICIENTS with the
+    state's moments, kept with them, so the components' expectation calls
+    on the same state read these values.
+
+    Each value is bit for bit the component's (C * moments).sum(); where a
+    component has no entries (the spatial ones at cutoff 0) expectation
+    gives exactly 0j instead.
+    """
+    return space._moments._entry(_as_state(state, space.dimension))[2]

@@ -262,7 +262,7 @@ def _fock_checks(cutoff):
         g = spinor.random_group_element(rng)
         amps = fock.BispinorAmplitudes.from_element(g)
         state = fock.coherent_state(space, amps, scale)
-        values = {name: fock.expectation(op, state) for name, op in comps.items()}
+        values = dict(zip(fock.TETRAD_BILINEARS, fock.tetrad_expectations(space, state)))
         rt = tetrad.real_tetrad(spinor.dyad_from_element(g))
         axes = {"z": rt.z, "x": rt.x, "y": rt.y}
         s2 = scale * scale
@@ -273,8 +273,9 @@ def _fock_checks(cutoff):
         ph = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         phased = fock.BispinorAmplitudes(*(ph * amps.as_array()))
         state_ph = fock.coherent_state(space, phased, scale)
+        values_ph = fock.tetrad_expectations(space, state_ph)
         yield "coherent_phase_covariance", _worst(
-            [val - fock.expectation(comps[name], state_ph) for name, val in values.items()]
+            [val - val_ph for val, val_ph in zip(values.values(), values_ph)]
         )
 
     return fixed(), draw

@@ -25,6 +25,7 @@ from urtetrad.fock import (
     expectation,
     operator_tetrad,
     tetrad_component,
+    tetrad_expectations,
 )
 from urtetrad.spinor import GroupElement, dyad_from_element, random_group_element
 from urtetrad.tetrad import real_tetrad
@@ -809,3 +810,120 @@ def test_derived_operators_take_the_matvec_route(monkeypatch):
     for name, (op, want) in derived.items():
         assert not isinstance(op, BilinearOperator), name
         assert abs(expectation(op, state) - want) < 1e-12, name
+
+
+def _terms_matrix(terms):
+    """The 4x4 coefficients of a tau combination, written out here."""
+    matrix = np.zeros((4, 4), dtype=complex)
+    for coeff, r, s in terms:
+        matrix[r - 1, s - 1] += coeff
+    return matrix
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 4, 12])
+def test_tetrad_expectations_match_each_component_bit_for_bit(cutoff):
+    space = FockSpace(cutoff)
+    comps = {name: tetrad_component(space, name) for name in TETRAD_BILINEARS}
+    for state in moment_states(space, 300 + cutoff):
+        values = tetrad_expectations(space, state)
+        moments = space.moments(state)
+        assert isinstance(values, tuple) and len(values) == len(TETRAD_BILINEARS)
+        for (name, terms), value in zip(TETRAD_BILINEARS.items(), values):
+            coefficients = _terms_matrix(terms)
+            np.testing.assert_array_equal(comps[name].coefficients, coefficients)
+            want = complex((coefficients * moments).sum())
+            assert np.array(value).tobytes() == np.array(want).tobytes(), name
+            got = expectation(comps[name], state)
+            assert np.array(got).tobytes() == np.array(want if comps[name].nnz else 0j).tobytes(), name
+
+
+def test_tetrad_coefficients_are_the_read_only_rows_of_the_components():
+    assert fock.TETRAD_COEFFICIENTS.shape == (10, 4, 4)
+    assert not fock.TETRAD_COEFFICIENTS.flags.writeable
+    space = FockSpace(2)
+    for row, (name, terms) in enumerate(TETRAD_BILINEARS.items()):
+        np.testing.assert_array_equal(fock.TETRAD_COEFFICIENTS[row], _terms_matrix(terms))
+        assert np.shares_memory(tetrad_component(space, name).coefficients, fock.TETRAD_COEFFICIENTS)
+
+
+def test_ten_expectations_of_one_coherent_state_cost_one_moment_matrix_and_one_contraction(monkeypatch):
+    space = FockSpace(4)
+    comps = [tetrad_component(space, name) for name in TETRAD_BILINEARS]
+    calls = {"moments": 0, "contractions": 0}
+    lowering, contract = fock._MomentMatrix._lowering, fock._tetrad_values
+
+    def counted_lowering(self):
+        calls["moments"] += 1
+        return lowering(self)
+
+    def counted_contract(moments):
+        calls["contractions"] += 1
+        return contract(moments)
+
+    monkeypatch.setattr(fock._MomentMatrix, "_lowering", counted_lowering)
+    monkeypatch.setattr(fock, "_tetrad_values", counted_contract)
+    rng = np.random.default_rng(47)
+    for n in (1, 2):
+        state = coherent_state(space, BispinorAmplitudes.from_element(random_group_element(rng)), 0.1)
+        values = [expectation(op, state) for op in comps]
+        assert calls == {"moments": n, "contractions": n}
+        assert tuple(values) == tetrad_expectations(space, state)
+        assert calls == {"moments": n, "contractions": n}
+
+
+def test_an_earlier_coherent_state_hits_through_its_bytes(monkeypatch):
+    space = FockSpace(4)
+    amps = BispinorAmplitudes.from_element(GroupElement(0.6, 0.8j))
+    earlier = coherent_state(space, amps, 0.1)
+    state = coherent_state(space, amps, 0.1)
+    values = tetrad_expectations(space, state)
+    # no longer the state made last, and never compared by identity
+    monkeypatch.setattr(fock._MomentMatrix, "_lowering", _no_lowering)
+    assert tetrad_expectations(space, earlier) is values
+    frozen = np.array(state)
+    frozen.setflags(write=False)
+    assert tetrad_expectations(space, frozen) is values
+
+
+# sha256 of tetrad_expectations on moment_states(space, 200 + cutoff) at
+# cutoffs 0, 1, 4 and 12, recorded as ten per-component contractions
+# (C * space.moments(state)).sum() before the values came from one tensor
+TETRAD_EXPECTATIONS_SHA256 = "c073e4ed3cabca59cbe134185a4bb6240f5fa660dc5d1ebfcedcf1c813d205ae"
+
+
+def test_tetrad_expectations_pinned():
+    digest = hashlib.sha256()
+    for cutoff in (0, 1, 4, 12):
+        space = FockSpace(cutoff)
+        for state in moment_states(space, 200 + cutoff):
+            digest.update(np.array(tetrad_expectations(space, state)).tobytes())
+    assert digest.hexdigest() == TETRAD_EXPECTATIONS_SHA256
+
+
+def test_a_pickled_component_carries_its_matrix_and_cutoff_only():
+    space = FockSpace(30)
+    op = tetrad_component(space, "z1")
+    csr = sum(part.nbytes for part in (op.matrix.data, op.matrix.indices, op.matrix.indptr))
+    size = len(pickle.dumps(op))
+    assert size < csr + 4096
+    amps = BispinorAmplitudes.from_element(random_group_element(np.random.default_rng(53)))
+    state = coherent_state(space, amps, 0.5)
+    value = expectation(op, state)
+    assert len(pickle.dumps(op)) == size
+    assert expectation(pickle.loads(pickle.dumps(op)), state) == value
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 4])
+def test_components_pickled_together_share_one_moment_object(cutoff):
+    space = FockSpace(cutoff)
+    ops = [tetrad_component(space, name) for name in ("t0", "x2", "y3")] + [space.tau(2, 1)]
+    state = moment_states(space, 59)[2]
+    loaded = pickle.loads(pickle.dumps(ops))
+    moments = loaded[0]._moments
+    assert all(op._moments is moments for op in loaded)
+    assert moments is not space._moments and moments._memo is None
+    np.testing.assert_array_equal(moments._below, space._moments._below)
+    assert moments._below.shape[1] == 4 and not moments._below.flags.writeable
+    for op, twin in zip(ops, loaded):
+        assert twin._row == op._row
+        assert expectation(twin, state) == expectation(op, state)

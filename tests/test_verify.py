@@ -88,6 +88,10 @@ def _add(orig, delta):
     return lambda *args: orig(*args) + delta
 
 
+def _add_each(orig, delta):
+    return lambda *args: tuple(value + delta for value in orig(*args))
+
+
 def _late(make):
     """`make`'s fault, spared on the first call so that the first deviation is finite."""
 
@@ -106,13 +110,13 @@ FAULTS = {
         tetrad, "minkowski_inner", _add, 1e-9, {"null_vector_nullity", "frame_inner_product_table"}
     ),
     "expectation": (
-        fock, "expectation", _add, 1e-3, {"classical_limit_spatial", "classical_limit_time"}
+        fock, "tetrad_expectations", _add_each, 1e-3, {"classical_limit_spatial", "classical_limit_time"}
     ),
     "polynomials_z_nan": (
         tetrad, "real_tetrad_polynomials", _late(_shift_z), NAN, {"real_tetrad_vs_polynomials"}
     ),
     "expectation_nan": (
-        fock, "expectation", _late(_add), NAN,
+        fock, "tetrad_expectations", _late(_add_each), NAN,
         {"classical_limit_spatial", "classical_limit_time", "coherent_phase_covariance"},
     ),
     "raise_index": (spinor, "raise_index", _scale_c1, 1 + 1e-15, {"raise_lower_roundtrip"}),
@@ -130,7 +134,7 @@ def test_fault_fails_exact_records(monkeypatch, fault):
 
 
 def test_nan_deviation_fails_cli_with_json(monkeypatch, capsys):
-    monkeypatch.setattr(fock, "expectation", _late(_add)(fock.expectation, NAN))
+    monkeypatch.setattr(fock, "tetrad_expectations", _late(_add_each)(fock.tetrad_expectations, NAN))
     code = main(["verify", "--suite", "fock", "--samples", "5", "--cutoff", "2"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1 and doc["pass"] is False
