@@ -20,7 +20,11 @@ which FockSpace.moments computes once per state (Schwinger's oscillator
 construction, with four modes).  The ten tetrad components are the rows
 of one (10, 4, 4) tensor TETRAD_COEFFICIENTS, so all ten values of a
 state come from one contraction with its moments (tetrad_expectations),
-computed and kept together with them.
+computed and kept together with them.  When expectation is passed the
+kept state object itself, a tetrad component returns its value before the
+shape check: that state's shape was checked when it was kept and its
+values cannot change, so the check could catch nothing.  Every other
+state is checked first.
 
 scipy is imported on the first operator build; the basis, coherent states,
 moments and the bilinear CSR patterns need only numpy.
@@ -219,9 +223,9 @@ class BilinearOperator(SparseOperator):
     also keeps its 4x4 coefficient matrix C and its space's moments.
 
     expectation contracts C with the state's moments instead of
-    multiplying by the matrix; a tetrad component knows its row of
-    TETRAD_COEFFICIENTS and reads its value from the ten kept with the
-    moments.  It shares the matrix of the canonical, frozen operator it is
+    multiplying by the matrix; a tetrad component with entries knows its
+    row of TETRAD_COEFFICIENTS and reads its value from the ten kept with
+    the moments.  It shares the matrix of the canonical, frozen operator it is
     made from.  Arithmetic on it (dagger, sums, products, scalar
     multiples) gives plain SparseOperators.
     """
@@ -239,7 +243,9 @@ class BilinearOperator(SparseOperator):
         object.__setattr__(self, "_mat", op.matrix)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "_moments", moments)
-        object.__setattr__(self, "_row", row)
+        # a component with no entries (spatial, at cutoff 0) has no row, so
+        # expectation gives it exactly 0j
+        object.__setattr__(self, "_row", row if op.nnz else None)
 
     def __reduce__(self):
         return BilinearOperator, (_own(self._mat), self._moments, self.coefficients, self._row)
@@ -397,10 +403,12 @@ class _MomentMatrix:
         memo = self._memo
         if memo is not None and state is memo[0]:
             return memo
-        state = np.ascontiguousarray(state)
+        # the state coherent_state made is contiguous and never compared
         made = state is self._made
-        if memo is not None and not made and (memo[0].view(np.int64) == state.view(np.int64)).all():
-            return memo
+        if not made:
+            state = np.ascontiguousarray(state)
+            if memo is not None and (memo[0].view(np.int64) == state.view(np.int64)).all():
+                return memo
         positions, weights = self._lowering()
         moments = np.zeros((N_MODES, N_MODES), dtype=complex)
         for start in range(0, positions.shape[1], _MOMENT_BLOCK):
@@ -408,7 +416,7 @@ class _MomentMatrix:
             lowered = np.take(state, positions[:, block])
             lowered *= weights[:, block]
             moments += np.conj(lowered) @ lowered.T
-        moments.flat[:: N_MODES + 1] += 0.5 * np.vdot(state, state).real
+        moments.reshape(-1)[:: N_MODES + 1] += 0.5 * np.vdot(state, state).real
         moments.setflags(write=False)
         memo = (state if made else _frozen_state(state), moments, _tetrad_values(moments))
         self._memo = memo
@@ -703,12 +711,18 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
     powers, roots, (product_index, n4) = space._coherent_tables()
     # huge amplitudes overflow here into a NaN deficit, which the gate refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        t1, t2, t3, t4 = alphas[:, None] ** powers / roots
+        # row r-1 holds alpha_r^n / sqrt(n!)
+        terms = alphas[:, None] ** powers / roots
         # ((t1 t2) t3) t4 per basis state: the first three from one table
-        coeffs = np.multiply.outer(np.multiply.outer(t1, t2), t3).take(product_index)
-        coeffs *= t4.take(n4)
+        coeffs = np.multiply.outer(np.multiply.outer(terms[0], terms[1]), terms[2]).take(product_index)
+        coeffs *= terms[3].take(n4)
         norm_sq = float(np.vdot(coeffs, coeffs).real)
-        intensity = float(np.sum(np.abs(alphas) ** 2))
+    a1, a2, a3, a4 = alphas.tolist()
+    try:
+        # summed in mode order, bit for bit numpy's sum of np.abs(alphas) ** 2
+        intensity = abs(a1) * abs(a1) + abs(a2) * abs(a2) + abs(a3) * abs(a3) + abs(a4) * abs(a4)
+    except OverflowError:  # a finite |alpha_r| beyond the largest float
+        intensity = math.inf
     deficit = 1.0 - norm_sq * math.exp(-intensity)
     if not math.isfinite(deficit):
         raise TruncationTooLossyError(
@@ -743,17 +757,24 @@ def expectation(op: SparseOperator, state) -> complex:
 
     A tetrad component returns its value among the ten that the space
     computes, in one contraction, and keeps with the state's moments (see
-    tetrad_expectations).  Any other BilinearOperator (tau and its
+    tetrad_expectations); passed the kept state object itself, it returns
+    that value before checking the shape, which was checked when the
+    state was kept.  Any other BilinearOperator (tau and its
     combinations) contracts its coefficients with those moments, which are
     computed once per state and space; any other operator multiplies the
     state.  An operator with no entries gives 0.
     """
+    bilinear = isinstance(op, BilinearOperator)
+    if bilinear and op._row is not None:
+        memo = op._moments._memo
+        # the kept state's shape was checked when it was kept
+        if memo is not None and state is memo[0]:
+            return memo[2][op._row]
+        return op._moments._entry(_as_state(state, op.dimension))[2][op._row]
     state = _as_state(state, op.dimension)
     if not op.nnz:
         return 0j
-    if isinstance(op, BilinearOperator):
-        if op._row is not None:
-            return op._moments._entry(state)[2][op._row]
+    if bilinear:
         return complex((op.coefficients * op._moments(state)).sum())
     return complex(np.vdot(state, op @ state))
 

@@ -125,8 +125,8 @@ class QuaternionPoint:
     z: float
 
     def __post_init__(self):
-        comps = [float(self.w), float(self.x), float(self.y), float(self.z)]
-        norm = sum(c * c for c in comps)
+        w, x, y, z = comps = [float(self.w), float(self.x), float(self.y), float(self.z)]
+        norm = w * w + x * x + y * y + z * z
         if not abs(norm - 1.0) <= ADMISSION_TOL:
             raise NonUnitError(f"w^2 + x^2 + y^2 + z^2 = {norm!r} is not 1 within {ADMISSION_TOL}")
         if abs(norm - 1.0) > _RENORM_SKIP:
@@ -190,13 +190,15 @@ def raise_index(s: Spinor) -> Spinor:
 def contract(p: Spinor, q: Spinor) -> complex:
     """The scalar p_A q^A.
 
-    q must carry an upper index; an upper-index p is lowered first.  The
-    result is antisymmetric under exchange of the two arguments.
+    q must carry an upper index; an upper-index p is lowered first, with
+    the lowering (c1, c2) -> (c2, -c1) of lower_index written out rather
+    than built as a Spinor.  The result is antisymmetric under exchange of
+    the two arguments.
     """
     if q.variance != UPPER:
         raise VarianceMismatchError("contract needs an upper-index second argument")
     if p.variance == UPPER:
-        p = lower_index(p)
+        return p.c2 * q.c1 + -p.c1 * q.c2
     return p.c1 * q.c1 + p.c2 * q.c2
 
 

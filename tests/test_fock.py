@@ -462,8 +462,13 @@ def test_coherent_truncation_rejected():
 
 @pytest.mark.parametrize(
     "amps, scale",
-    [(BispinorAmplitudes(1, 0, 0, 1), 1e100), (BispinorAmplitudes(math.nan, 0, 0, 0), 0.5)],
-    ids=["1e100", "nan-amplitude"],
+    [
+        (BispinorAmplitudes(1, 0, 0, 1), 1e100),
+        (BispinorAmplitudes(math.nan, 0, 0, 0), 0.5),
+        # finite parts whose modulus is beyond the largest float
+        (BispinorAmplitudes(1.5e308 + 1.5e308j, 0, 0, 0), 1.0),
+    ],
+    ids=["1e100", "nan-amplitude", "modulus-overflow"],
 )
 def test_coherent_nan_deficit_message(amps, scale):
     with pytest.raises(TruncationTooLossyError, match="amplitudes overflowed or are not finite"):
@@ -709,13 +714,29 @@ def test_moments_of_a_strided_view_match_its_copy():
 
 
 def test_zero_component_skips_the_state():
-    space = FockSpace(2)
-    zero = operator_tetrad(space).z_hat[0]
-    assert expectation(zero, moment_states(space, 17)[2]) == 0
-    with pytest.raises(DimensionMismatchError):
-        expectation(zero, np.ones(space.dimension + 1))
-    with pytest.raises(DimensionMismatchError):
-        expectation(tetrad_component(space, "z1"), np.ones(space.dimension - 1))
+    for cutoff in (0, 2):
+        space = FockSpace(cutoff)
+        comps = dict(operator_tetrad(space).components())
+        assert expectation(comps["z0"], moment_states(space, 17)[2]) == 0
+        amps = BispinorAmplitudes.from_element(GroupElement(0.6, 0.8j))
+        state = coherent_state(space, amps, MOMENT_CUTOFF_SCALES[cutoff])
+        values = {label: expectation(op, state) for label, op in comps.items()}
+        assert space._moments._memo[0] is state
+        for label, value in values.items():
+            # the zero operators, and at cutoff 0 the spatial components too
+            if label not in TETRAD_BILINEARS or (cutoff == 0 and label != "t0"):
+                assert np.array(value).tobytes() == np.array(0j).tobytes(), (cutoff, label)
+                # whatever the state holds: its moments are never read
+                huge = np.full(space.dimension, 1e300 + 0j)
+                assert np.array(expectation(comps[label], huge)).tobytes() == np.array(0j).tobytes()
+        # the memo holds the coherent state, and no wrong shape reads it
+        wrong = (np.ones(space.dimension + 1), np.ones(space.dimension - 1), state[None, :], state[:, None])
+        for label, op in comps.items():
+            for bad in wrong:
+                with pytest.raises(DimensionMismatchError):
+                    expectation(op, bad)
+            again = expectation(op, state)
+            assert np.array(again).tobytes() == np.array(values[label]).tobytes(), (cutoff, label)
 
 
 def test_coherent_states_are_frozen_complex():
@@ -757,6 +778,12 @@ def test_a_writable_copy_of_the_state_hits_through_its_bytes(monkeypatch):
     monkeypatch.setattr(fock._MomentMatrix, "_lowering", _no_lowering)
     assert expectation(op, twin) == value
     assert space._moments._memo[0] is state
+    monkeypatch.undo()
+    # changed in place, the copy misses through expectation as well
+    twin[1] += 0.25j
+    changed = expectation(op, twin)
+    assert changed != value and space._moments._memo[0] is not state
+    assert abs(changed - np.vdot(twin, op.matrix @ twin)) < 1e-12
 
 
 def test_a_state_frozen_again_after_a_change_misses():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urtetrad.spinor import (
+    ADMISSION_TOL,
     EPSILON,
     LOWER,
     UPPER,
@@ -72,6 +74,31 @@ def test_admission_renormalizes():
     s = 1.0 + 4e-10
     g = GroupElement(0.6 * s, 0.8j * s)
     assert abs(abs(g.a) ** 2 + abs(g.b) ** 2 - 1.0) < 1e-12
+
+
+def test_quaternion_norm_on_the_admission_edge():
+    """Points within 2e-9 of the sphere: admission, snapping and the
+    refusal message all follow the norm summed as w^2 + x^2 + y^2 + z^2."""
+    rng = np.random.default_rng(67)
+    admitted = refused = 0
+    for _ in range(2000):
+        v = rng.standard_normal(4)
+        v *= math.sqrt(1.0 + rng.uniform(-2 * ADMISSION_TOL, 2 * ADMISSION_TOL)) / np.linalg.norm(v)
+        comps = [float(c) for c in v]
+        norm = 0
+        for c in comps:
+            norm += c * c
+        if abs(norm - 1.0) <= ADMISSION_TOL:
+            q = QuaternionPoint(*comps)
+            s = math.sqrt(norm)
+            want = comps if abs(norm - 1.0) <= 1e-13 else [c / s for c in comps]
+            assert np.array([q.w, q.x, q.y, q.z]).tobytes() == np.array(want).tobytes()
+            admitted += 1
+        else:
+            with pytest.raises(NonUnitError, match=re.escape(repr(norm))):
+                QuaternionPoint(*comps)
+            refused += 1
+    assert admitted > 500 and refused > 500
 
 
 def test_determinant_is_one():
@@ -213,6 +240,22 @@ def test_contract_dyad_values():
         assert contract(d.u, d.u) == 0.0
         # mixed-variance input contracts the same way
         assert contract(lower_index(d.v), d.u) == contract(d.v, d.u)
+
+
+# signed zeros, products that underflow and products that overflow
+EDGE_PARTS = (0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300)
+
+
+@pytest.mark.parametrize("variance", [UPPER, LOWER])
+def test_contract_matches_the_lower_index_route_bit_for_bit(variance):
+    rng = np.random.default_rng(71)
+    parts = np.concatenate([EDGE_PARTS, rng.standard_normal(6)])
+    for _ in range(3000):
+        p1, p2, q1, q2 = (complex(*rng.choice(parts, 2)) for _ in range(4))
+        p, q = Spinor(p1, p2, variance), Spinor(q1, q2)
+        low = lower_index(p) if variance == UPPER else p
+        want = low.c1 * q.c1 + low.c2 * q.c2
+        assert np.array(contract(p, q)).tobytes() == np.array(want).tobytes(), (p, q)
 
 
 def test_dyad_requires_upper():
