@@ -88,6 +88,11 @@ def test_bad_mode():
         space.annihilator(0)
     with pytest.raises(BadModeError):
         space.tau(1, 5)
+    # cutoff 0 has no quanta to lower, and still refuses a bad mode
+    vacuum = FockSpace(0)
+    for r in (0, 5):
+        with pytest.raises(BadModeError):
+            vacuum.annihilator(r)
 
 
 def test_annihilator_frozen_cutoff1():
@@ -579,6 +584,27 @@ def test_cutoff30_components_pinned():
         for part in (mat.data, mat.indices, mat.indptr):
             digest.update(part.tobytes())
     assert digest.hexdigest() == CUTOFF30_CSR_SHA256
+
+
+# sha256 over the dtype, data, indices and indptr bytes of a_r, a_r^+ and the
+# 16 products a_r^+ a_s at cutoffs 0..12, recorded before the ladder
+# operators were read from the moments' lowering table
+LADDER_CSR_SHA256 = "c01a25b321991de5cfde0a877dcd65b748eecd983d02a062627e5dc17066d7ac"
+
+
+def test_ladder_operators_pinned():
+    digest = hashlib.sha256()
+    for cutoff in range(13):
+        space = FockSpace(cutoff)
+        ann = {r: space.annihilator(r) for r in MODES}
+        cre = {r: space.creator(r) for r in MODES}
+        ops = [ann[r] for r in MODES] + [cre[r] for r in MODES]
+        ops += [cre[r] @ ann[s] for r in MODES for s in MODES]
+        for op in ops:
+            for part in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+                digest.update(str(part.dtype).encode())
+                digest.update(part.tobytes())
+    assert digest.hexdigest() == LADDER_CSR_SHA256
 
 
 # sha256 of the coherent-state bytes of three seeded draws at cutoffs 4 and
