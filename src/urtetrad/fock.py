@@ -15,16 +15,15 @@ assembled in normal-ordered form, which is shell-preserving and therefore
 projects exactly.
 
 Expectations of the bilinears do not multiply by their matrices: every
-tau_rs combination is linear in the 16 moments <tau_rs> of the state,
-which FockSpace.moments computes once per state (Schwinger's oscillator
-construction, with four modes).  The ten tetrad components are the rows
-of one (10, 4, 4) tensor TETRAD_COEFFICIENTS, so all ten values of a
-state come from one contraction with its moments (tetrad_expectations),
-computed and kept together with them.  When expectation is passed the
-kept state object itself, a tetrad component returns its value before the
-shape check: that state's shape was checked when it was kept and its
-values cannot change, so the check could catch nothing.  Every other
-state is checked first.
+tau_rs combination is linear in the 16 moments <tau_rs> of the state
+(Schwinger's oscillator construction, with four modes), and the ten
+tetrad components are the rows of one (10, 4, 4) tensor
+TETRAD_COEFFICIENTS, so all ten values of a state come from one
+contraction with its moments (tetrad_expectations).  The ladder
+operators, the bilinears' patterns and the moments all read one lowering
+table, a_r |m + e_r> = sqrt(m_r + 1) |m>.  A space keeps the moments and
+ten values of the last state coherent_state made, from when it is made;
+every other state's are computed and not kept.
 
 scipy is imported on the first operator build; the basis, coherent states,
 moments and the bilinear CSR patterns need only numpy.
@@ -224,8 +223,8 @@ class BilinearOperator(SparseOperator):
 
     expectation contracts C with the state's moments instead of
     multiplying by the matrix; a tetrad component with entries knows its
-    row of TETRAD_COEFFICIENTS and reads its value from the ten kept with
-    the moments.  It shares the matrix of the canonical, frozen operator it is
+    row of TETRAD_COEFFICIENTS and reads its value from the ten computed
+    with the moments.  It shares the matrix of the canonical, frozen operator it is
     made from.  Arithmetic on it (dagger, sums, products, scalar
     multiples) gives plain SparseOperators.
     """
@@ -331,29 +330,23 @@ def _as_state(state, dimension: int) -> np.ndarray:
 
 
 class _MomentMatrix:
-    """The moments of states of one FockSpace (FockSpace.moments).
+    """The lowering table of one FockSpace and the moments of its states
+    (FockSpace.moments).
 
     In normal order, M_rs = <a_r psi | a_s psi> + delta_rs |psi|^2 / 2.
     a_r psi lies on the basis of cutoff - 1, which is the first D' rows of
     the space's basis, and a_r |m + e_r> = sqrt(m_r + 1) |m>; so M is the
     4x4 Gram matrix of four gathered and weighted vectors, summed in blocks
-    of _MOMENT_BLOCK basis states.  It keeps only what that needs: the
-    lower basis, the gather tables (built on first use) and the last
-    state's moments with its ten tetrad values.  Bilinear operators hold it
-    rather than the space, so they do not keep the space's pattern tables
-    alive.  It pickles as its cutoff alone.
-
-    The last state is kept frozen: the last state coherent_state made for
-    the space (on an immutable bytes buffer) is kept as it is, any other
-    array as a frozen copy, even one on a bytes buffer, which unpickling
-    can leave writable.  Passing the kept object again hits with no
-    comparison, since its values cannot change; any other array hits only
-    if its bytes equal the kept ones, so a state changed in place misses.
-    The state coherent_state made last is not compared on a miss: a byte
-    match could only give what recomputing gives bit for bit.
+    of _MOMENT_BLOCK basis states.  It keeps the lower basis, the lowering
+    table (built on first use) and the entry of the last state
+    coherent_state made.  That state is frozen, so passing the same object
+    again returns its entry; any other array is computed and not kept, so
+    a state changed in place never reads stale moments.  Bilinear operators
+    hold it rather than the space, so they do not keep the space's pattern
+    tables alive.  It pickles as its cutoff alone.
     """
 
-    __slots__ = ("_cutoff", "_below", "_lowered", "_memo", "_made")
+    __slots__ = ("_cutoff", "_below", "_lowered", "_memo")
 
     def __init__(self, cutoff: int, below: np.ndarray | None = None):
         """below is the basis of cutoff - 1, built here unless given."""
@@ -364,10 +357,8 @@ class _MomentMatrix:
         self._below = below
         # (positions, weights), filled by _lowering
         self._lowered = None
-        # (the last state, frozen; its moments; its ten tetrad values)
+        # the entry of the last state coherent_state made for the space
         self._memo = None
-        # the last state coherent_state made for the space, frozen
-        self._made = None
 
     def __reduce__(self):
         return _MomentMatrix, (self._cutoff,)
@@ -397,18 +388,14 @@ class _MomentMatrix:
         return self._entry(state)[1]
 
     def _entry(self, state: np.ndarray) -> tuple:
-        """(the kept state, its moments, its ten tetrad values) of a complex
-        state whose shape the caller has checked."""
+        """(state, its moments, its ten tetrad values) of a complex state
+        whose shape the caller has checked: the kept entry when state is the
+        kept state, else computed and not kept."""
         # read once, so a state is never paired with another state's moments
         memo = self._memo
         if memo is not None and state is memo[0]:
             return memo
-        # the state coherent_state made is contiguous and never compared
-        made = state is self._made
-        if not made:
-            state = np.ascontiguousarray(state)
-            if memo is not None and (memo[0].view(np.int64) == state.view(np.int64)).all():
-                return memo
+        state = np.ascontiguousarray(state)
         positions, weights = self._lowering()
         moments = np.zeros((N_MODES, N_MODES), dtype=complex)
         for start in range(0, positions.shape[1], _MOMENT_BLOCK):
@@ -418,9 +405,7 @@ class _MomentMatrix:
             moments += np.conj(lowered) @ lowered.T
         moments.reshape(-1)[:: N_MODES + 1] += 0.5 * np.vdot(state, state).real
         moments.setflags(write=False)
-        memo = (state if made else _frozen_state(state), moments, _tetrad_values(moments))
-        self._memo = memo
-        return memo
+        return state, moments, _tetrad_values(moments)
 
 
 class FockSpace:
@@ -478,26 +463,24 @@ class FockSpace:
         """Diagonal operator counting total occupation."""
         return SparseOperator.from_diagonal(self.occupations.sum(axis=1).astype(float))
 
-    def _operator(self, rows, cols, values) -> SparseOperator:
-        """Operator from entry arrays; no entries give the zero operator."""
-        if len(values) == 0:
+    def annihilator(self, r: int) -> SparseOperator:
+        """a_r: maps |.. n_r ..> to sqrt(n_r) |.. n_r - 1 ..>.
+
+        Row m of the lower basis holds one entry, sqrt(m_r + 1) at the
+        column of m + e_r, read from the moments' lowering table; the top
+        shell's rows are empty.
+        """
+        k = _mode_index(r)
+        if self.cutoff == 0:  # nothing to lower; int32 like every empty operator
             return SparseOperator.zero(self.dimension)
         from scipy import sparse
 
-        mat = sparse.csr_array(
-            (np.asarray(values, dtype=complex), (rows, cols)),
-            shape=(self.dimension, self.dimension),
-        )
-        return _own(mat)
-
-    def annihilator(self, r: int) -> SparseOperator:
-        """a_r: maps |.. n_r ..> to sqrt(n_r) |.. n_r - 1 ..>."""
-        k = _mode_index(r)
-        cols = np.flatnonzero(self.occupations[:, k])
-        lowered = self.occupations[cols]
-        values = np.sqrt(lowered[:, k].astype(float))
-        lowered[:, k] -= 1
-        return self._operator(_rank(lowered), cols, values)
+        positions, weights = self._moments._lowering()
+        # an int64 indptr makes scipy store the int32 positions as int64
+        # too, the index dtype the pinned ladder bytes hold
+        indptr = np.minimum(np.arange(self.dimension + 1, dtype=np.int64), positions.shape[1])
+        data = (weights[k].astype(complex), positions[k], indptr)
+        return _own(sparse.csr_array(data, shape=(self.dimension, self.dimension)))
 
     def creator(self, r: int) -> SparseOperator:
         """a_r^+, the adjoint of a_r.  Annihilates the top total-quanta shell."""
@@ -582,10 +565,9 @@ class FockSpace:
     def moments(self, state) -> np.ndarray:
         """Read-only (4, 4) moments M[r-1, s-1] = <state| tau_rs |state>.
 
-        The space keeps the last state's moments, keyed by its exact
-        bytes, so the operators evaluated on one state share them; a state
-        changed in place misses the key.  Passing the same frozen state
-        (such as a coherent_state) again skips the comparison.
+        Those of the last state coherent_state made for the space are kept,
+        so the operators evaluated on it share them; any other state's are
+        computed on each call.
         """
         return self._moments(_as_state(state, self.dimension))
 
@@ -699,18 +681,18 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
     is refused as ValueError.
 
     The state is complex128 and frozen: its buffer is an immutable bytes
-    object, so setflags(write=True) raises on it, and the space's moment
-    object records it as the last state made for the space.  Its moments
-    can therefore be kept by identity, and the expectations of all
-    components of one state cost one moment matrix and no byte comparison.
+    object, so setflags(write=True) raises on it.  The space keeps its
+    moments and ten tetrad values, computed here, so the expectations of
+    all components on it cost one moment matrix.
     """
     scale = float(scale)
     if not math.isfinite(scale):
         raise ValueError(f"coherent scale {scale!r} is not finite")
-    alphas = scale * amps.as_array()
     powers, roots, (product_index, n4) = space._coherent_tables()
-    # huge amplitudes overflow here into a NaN deficit, which the gate refuses
+    # huge or non-finite amplitudes overflow here into a NaN deficit, which
+    # the gate refuses
     with np.errstate(over="ignore", invalid="ignore"):
+        alphas = scale * amps.as_array()
         # row r-1 holds alpha_r^n / sqrt(n!)
         terms = alphas[:, None] ** powers / roots
         # ((t1 t2) t3) t4 per basis state: the first three from one table
@@ -735,7 +717,7 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
         )
     coeffs /= math.sqrt(norm_sq)
     state = _frozen_state(coeffs)
-    space._moments._made = state
+    space._moments._memo = space._moments._entry(state)
     return state
 
 
@@ -755,19 +737,18 @@ def coherent_bilinear_value(amps: BispinorAmplitudes, scale: float, terms) -> co
 def expectation(op: SparseOperator, state) -> complex:
     """<state| op |state>; real up to rounding when op is Hermitian.
 
-    A tetrad component returns its value among the ten that the space
-    computes, in one contraction, and keeps with the state's moments (see
-    tetrad_expectations); passed the kept state object itself, it returns
-    that value before checking the shape, which was checked when the
-    state was kept.  Any other BilinearOperator (tau and its
-    combinations) contracts its coefficients with those moments, which are
-    computed once per state and space; any other operator multiplies the
+    A tetrad component returns its value among the ten computed with the
+    state's moments (see tetrad_expectations); passed the state
+    coherent_state made last for its space, it returns the kept value
+    before checking the shape, which was checked when the state was made.
+    Any other BilinearOperator (tau and its combinations) contracts its
+    coefficients with those moments; any other operator multiplies the
     state.  An operator with no entries gives 0.
     """
     bilinear = isinstance(op, BilinearOperator)
     if bilinear and op._row is not None:
         memo = op._moments._memo
-        # the kept state's shape was checked when it was kept
+        # coherent_state made the kept state with the space's shape
         if memo is not None and state is memo[0]:
             return memo[2][op._row]
         return op._moments._entry(_as_state(state, op.dimension))[2][op._row]
@@ -782,8 +763,7 @@ def expectation(op: SparseOperator, state) -> complex:
 def tetrad_expectations(space: FockSpace, state) -> tuple:
     """The expectations of the ten tetrad components on state, in
     TETRAD_BILINEARS order: one contraction of TETRAD_COEFFICIENTS with the
-    state's moments, kept with them, so the components' expectation calls
-    on the same state read these values.
+    state's moments, the kept one for the state coherent_state made last.
 
     Each value is bit for bit the component's (C * moments).sum(); where a
     component has no entries (the spatial ones at cutoff 0) expectation

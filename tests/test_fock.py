@@ -6,6 +6,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urtetrad import fock
 from urtetrad.cli import main
@@ -646,6 +648,40 @@ def test_coherent_nonfinite_scale_rejected(scale):
         coherent_state(space, amps, scale)
 
 
+# floats at the edges of coherent_state's input: non-finite values, signed
+# zeros, subnormals and magnitudes near 1e154, whose squares overflow
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e154, -1.5e154]),
+    st.floats(),
+    st.floats(min_value=1e153, max_value=1e155),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+EDGE_COMPLEX = st.builds(complex, EDGE_FLOATS, EDGE_FLOATS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cutoff=st.sampled_from([0, 1, 4]),
+    amps=st.lists(EDGE_COMPLEX, min_size=4, max_size=4),
+    scale=EDGE_FLOATS,
+)
+def test_coherent_state_refuses_or_keeps_a_frozen_finite_state(cutoff, amps, scale):
+    space = FockSpace(cutoff)
+    try:
+        state = coherent_state(space, BispinorAmplitudes(*amps), scale)
+    except ValueError as exc:
+        assert type(exc) in (ValueError, TruncationTooLossyError)
+        return
+    assert state.dtype == np.complex128 and state.shape == (space.dimension,)
+    assert np.isfinite(state).all() and not state.flags.writeable
+    with pytest.raises(ValueError):
+        state.setflags(write=True)
+    kept = space._moments._memo
+    assert kept[0] is state
+    values = tetrad_expectations(space, np.array(state))
+    assert np.array(values).tobytes() == np.array(kept[2]).tobytes()
+
+
 # coherent scales whose truncation deficit stays below MAX_DEFICIT; at
 # cutoff 20 the lowered vectors span three blocks of fock._MOMENT_BLOCK
 MOMENT_CUTOFF_SCALES = {0: 1e-5, 1: 1e-4, 2: 0.01, 4: 0.1, 12: 0.5, 20: 0.5}
@@ -694,14 +730,19 @@ def test_bilinear_coefficients():
         tau.coefficients[0, 0] = 1.0
 
 
-def test_moments_are_read_only_and_kept_per_state():
+def test_moments_are_read_only_and_kept_for_the_state_made_last():
     space = FockSpace(4)
     first, second = moment_states(space, 7)[:2]
-    moments = space.moments(first)
+    # kept when it is made, before any expectation asks for it
+    assert space._moments._memo[0] is second
+    moments = space.moments(second)
     assert moments.shape == (4, 4) and not moments.flags.writeable
-    assert space.moments(first.copy()) is moments  # same bytes, same moments
-    assert space.moments(second) is not moments
-    np.testing.assert_array_equal(space.moments(first), moments)
+    assert moments is space._moments._memo[1]
+    # any other array is computed again each time and not kept
+    other = space.moments(first)
+    assert not other.flags.writeable and space.moments(first) is not other
+    np.testing.assert_array_equal(space.moments(first), other)
+    assert space._moments._memo[0] is second
 
 
 def test_bilinear_operator_outlives_its_space():
@@ -794,21 +835,37 @@ def test_components_of_one_coherent_state_share_one_moment_matrix(monkeypatch):
         assert abs(value - np.vdot(state, op.matrix @ state)) < 1e-12
 
 
-def test_a_writable_copy_of_the_state_hits_through_its_bytes(monkeypatch):
+def _assert_recomputed_as_kept(monkeypatch, space, copies):
+    """Each array in copies holds the kept state's values: its ten values
+    and moments are computed again, bit for bit the kept ones, and the
+    kept entry stays."""
+    kept = space._moments._memo
+    lowering, calls = fock._MomentMatrix._lowering, []
+    monkeypatch.setattr(fock._MomentMatrix, "_lowering", lambda self: calls.append(self) or lowering(self))
+    for n, twin in enumerate(copies, 1):
+        assert twin is not kept[0]
+        values = tetrad_expectations(space, twin)
+        assert values is not kept[2]
+        assert np.array(values).tobytes() == np.array(kept[2]).tobytes()
+        assert space.moments(twin).tobytes() == kept[1].tobytes()
+        assert len(calls) == 2 * n
+        assert space._moments._memo is kept
+
+
+def test_a_writable_copy_of_the_state_is_recomputed_bit_for_bit(monkeypatch):
     space = FockSpace(4)
     state = coherent_state(space, BispinorAmplitudes.from_element(GroupElement(0.6, 0.8j)), 0.1)
+    assert space._moments._memo[0] is state
     op = tetrad_component(space, "x2")
     value = expectation(op, state)
     twin = np.array(state)
     assert twin.flags.writeable
-    monkeypatch.setattr(fock._MomentMatrix, "_lowering", _no_lowering)
-    assert expectation(op, twin) == value
-    assert space._moments._memo[0] is state
-    monkeypatch.undo()
-    # changed in place, the copy misses through expectation as well
+    _assert_recomputed_as_kept(monkeypatch, space, [twin])
+    assert np.array(expectation(op, twin)).tobytes() == np.array(value).tobytes()
+    # changed in place, the copy gives its own value
     twin[1] += 0.25j
     changed = expectation(op, twin)
-    assert changed != value and space._moments._memo[0] is not state
+    assert changed != value and space._moments._memo[0] is state
     assert abs(changed - np.vdot(twin, op.matrix @ twin)) < 1e-12
 
 
@@ -924,18 +981,17 @@ def test_ten_expectations_of_one_coherent_state_cost_one_moment_matrix_and_one_c
         assert calls == {"moments": n, "contractions": n}
 
 
-def test_an_earlier_coherent_state_hits_through_its_bytes(monkeypatch):
+def test_an_earlier_coherent_state_and_a_frozen_copy_are_recomputed_bit_for_bit(monkeypatch):
     space = FockSpace(4)
     amps = BispinorAmplitudes.from_element(GroupElement(0.6, 0.8j))
     earlier = coherent_state(space, amps, 0.1)
     state = coherent_state(space, amps, 0.1)
-    values = tetrad_expectations(space, state)
-    # no longer the state made last, and never compared by identity
-    monkeypatch.setattr(fock._MomentMatrix, "_lowering", _no_lowering)
-    assert tetrad_expectations(space, earlier) is values
+    assert space._moments._memo[0] is state
+    assert tetrad_expectations(space, state) is space._moments._memo[2]
+    # the earlier state is no longer kept; a caller's frozen array never is
     frozen = np.array(state)
     frozen.setflags(write=False)
-    assert tetrad_expectations(space, frozen) is values
+    _assert_recomputed_as_kept(monkeypatch, space, [earlier, frozen])
 
 
 # sha256 of tetrad_expectations on moment_states(space, 200 + cutoff) at
