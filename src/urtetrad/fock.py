@@ -19,11 +19,12 @@ tau_rs combination is linear in the 16 moments <tau_rs> of the state
 (Schwinger's oscillator construction, with four modes), and the ten
 tetrad components are the rows of one (10, 4, 4) tensor
 TETRAD_COEFFICIENTS, so all ten values of a state come from one
-contraction with its moments (tetrad_expectations).  The ladder
-operators, the bilinears' patterns and the moments all read one lowering
-table, a_r |m + e_r> = sqrt(m_r + 1) |m>.  A space keeps the moments and
-ten values of the last state coherent_state made, from when it is made;
-every other state's are computed and not kept.
+contraction with its moments (tetrad_expectations).  A FockSpace owns
+one lowering table, a_r |m + e_r> = sqrt(m_r + 1) |m>, which its ladder
+operators, its bilinears' patterns and its moments all read.  It keeps the
+moments and ten values of the last state coherent_state made for it, from
+when it is made; every other state's are computed and not kept.  Its
+bilinear operators hold the space itself.
 
 scipy is imported on the first operator build; the basis, coherent states,
 moments and the bilinear CSR patterns need only numpy.
@@ -219,35 +220,35 @@ def _own(mat) -> SparseOperator:
 
 class BilinearOperator(SparseOperator):
     """sum_rs C[r-1, s-1] tau_rs on one FockSpace: a SparseOperator that
-    also keeps its 4x4 coefficient matrix C and its space's moments.
+    also keeps its 4x4 coefficient matrix C and its space.
 
-    expectation contracts C with the state's moments instead of
-    multiplying by the matrix; a tetrad component with entries knows its
-    row of TETRAD_COEFFICIENTS and reads its value from the ten computed
-    with the moments.  It shares the matrix of the canonical, frozen operator it is
-    made from.  Arithmetic on it (dagger, sums, products, scalar
-    multiples) gives plain SparseOperators.
+    expectation contracts C with the state's moments (FockSpace.moments)
+    instead of multiplying by the matrix; a tetrad component with entries
+    knows its row of TETRAD_COEFFICIENTS and reads its value from the ten
+    computed with the moments.  It shares the matrix of the canonical,
+    frozen operator it is made from.  Arithmetic on it (dagger, sums,
+    products, scalar multiples) gives plain SparseOperators.
     """
 
-    __slots__ = ("coefficients", "_moments", "_row")
+    __slots__ = ("coefficients", "_space", "_row")
 
     def __init__(
         self,
         op: SparseOperator,
-        moments: "_MomentMatrix",
+        space: "FockSpace",
         coefficients: np.ndarray,
         row: int | None = None,
     ):
         coefficients.setflags(write=False)
         object.__setattr__(self, "_mat", op.matrix)
         object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "_moments", moments)
+        object.__setattr__(self, "_space", space)
         # a component with no entries (spatial, at cutoff 0) has no row, so
         # expectation gives it exactly 0j
         object.__setattr__(self, "_row", row if op.nnz else None)
 
     def __reduce__(self):
-        return BilinearOperator, (_own(self._mat), self._moments, self.coefficients, self._row)
+        return BilinearOperator, (_own(self._mat), self._space, self.coefficients, self._row)
 
 
 def _mode_index(r: int) -> int:
@@ -329,90 +330,14 @@ def _as_state(state, dimension: int) -> np.ndarray:
     return state
 
 
-class _MomentMatrix:
-    """The lowering table of one FockSpace and the moments of its states
-    (FockSpace.moments).
-
-    In normal order, M_rs = <a_r psi | a_s psi> + delta_rs |psi|^2 / 2.
-    a_r psi lies on the basis of cutoff - 1, which is the first D' rows of
-    the space's basis, and a_r |m + e_r> = sqrt(m_r + 1) |m>; so M is the
-    4x4 Gram matrix of four gathered and weighted vectors, summed in blocks
-    of _MOMENT_BLOCK basis states.  It keeps the lower basis, the lowering
-    table (built on first use) and the entry of the last state
-    coherent_state made.  That state is frozen, so passing the same object
-    again returns its entry; any other array is computed and not kept, so
-    a state changed in place never reads stale moments.  Bilinear operators
-    hold it rather than the space, so they do not keep the space's pattern
-    tables alive.  It pickles as its cutoff alone.
-    """
-
-    __slots__ = ("_cutoff", "_below", "_lowered", "_memo")
-
-    def __init__(self, cutoff: int, below: np.ndarray | None = None):
-        """below is the basis of cutoff - 1, built here unless given."""
-        if below is None:
-            below = _occupations(cutoff - 1) if cutoff else np.empty((0, N_MODES), dtype=np.int64)
-            below.setflags(write=False)
-        self._cutoff = cutoff
-        self._below = below
-        # (positions, weights), filled by _lowering
-        self._lowered = None
-        # the entry of the last state coherent_state made for the space
-        self._memo = None
-
-    def __reduce__(self):
-        return _MomentMatrix, (self._cutoff,)
-
-    def _lowering(self):
-        """Read-only (positions, weights), each (4, D'):
-        (a_r psi)[m] = weights[r-1, m] * psi[positions[r-1, m]], where
-        positions[k, m] is the rank of m + e_k and weights[k, m] is
-        sqrt(m_k + 1)."""
-        if self._lowered is None:
-            below = self._below
-            # MAX_STATES < 2**31, so the positions fit int32
-            positions = np.empty((N_MODES, len(below)), dtype=np.int32)
-            weights = np.empty((N_MODES, len(below)))
-            for k in range(N_MODES):
-                raised = below.copy()
-                raised[:, k] += 1
-                positions[k] = _rank(raised)
-                weights[k] = np.sqrt(below[:, k] + 1.0)
-            positions.setflags(write=False)
-            weights.setflags(write=False)
-            self._lowered = positions, weights
-        return self._lowered
-
-    def __call__(self, state: np.ndarray) -> np.ndarray:
-        """Moments of a complex state whose shape the caller has checked."""
-        return self._entry(state)[1]
-
-    def _entry(self, state: np.ndarray) -> tuple:
-        """(state, its moments, its ten tetrad values) of a complex state
-        whose shape the caller has checked: the kept entry when state is the
-        kept state, else computed and not kept."""
-        # read once, so a state is never paired with another state's moments
-        memo = self._memo
-        if memo is not None and state is memo[0]:
-            return memo
-        state = np.ascontiguousarray(state)
-        positions, weights = self._lowering()
-        moments = np.zeros((N_MODES, N_MODES), dtype=complex)
-        for start in range(0, positions.shape[1], _MOMENT_BLOCK):
-            block = slice(start, start + _MOMENT_BLOCK)
-            lowered = np.take(state, positions[:, block])
-            lowered *= weights[:, block]
-            moments += np.conj(lowered) @ lowered.T
-        moments.reshape(-1)[:: N_MODES + 1] += 0.5 * np.vdot(state, state).real
-        moments.setflags(write=False)
-        return state, moments, _tetrad_values(moments)
-
-
 class FockSpace:
     """Occupation basis of 4 bosonic modes with total quanta <= cutoff.
 
     The basis order (total-quanta-major, then lexicographic) is part of the
-    CLI output contract; the dimension is binomial(cutoff + 4, 4).
+    CLI output contract; the dimension is binomial(cutoff + 4, 4).  A space
+    builds its lowering table, operator patterns and coherent tables on
+    first use, keeps the moments of the last state coherent_state made,
+    and pickles as its cutoff alone.
     """
 
     def __init__(self, cutoff: int):
@@ -430,10 +355,63 @@ class FockSpace:
         self.occupations.setflags(write=False)
         # CSR patterns of sums of a_k^+ a_j, filled by _pattern
         self._patterns = {}
-        below = self.occupations[: math.comb(cutoff - 1 + N_MODES, N_MODES)]
-        self._moments = _MomentMatrix(cutoff, below)
+        # (positions, weights), filled by _lowering
+        self._lowered = None
         # what coherent_state reads, filled by _coherent_tables
         self._coherent = None
+        # the entry of the last state coherent_state made for the space
+        self._memo = None
+
+    def __reduce__(self):
+        return FockSpace, (self.cutoff,)
+
+    def _lowering(self):
+        """Read-only (positions, weights), each (4, D'):
+        (a_r psi)[m] = weights[r-1, m] * psi[positions[r-1, m]], where
+        positions[k, m] is the rank of m + e_k and weights[k, m] is
+        sqrt(m_k + 1).  m runs over the basis of cutoff - 1, which is the
+        first D' rows of the basis."""
+        if self._lowered is None:
+            below = self.occupations[: math.comb(self.cutoff - 1 + N_MODES, N_MODES)]
+            # MAX_STATES < 2**31, so the positions fit int32
+            positions = np.empty((N_MODES, len(below)), dtype=np.int32)
+            weights = np.empty((N_MODES, len(below)))
+            for k in range(N_MODES):
+                raised = below.copy()
+                raised[:, k] += 1
+                positions[k] = _rank(raised)
+                weights[k] = np.sqrt(below[:, k] + 1.0)
+            positions.setflags(write=False)
+            weights.setflags(write=False)
+            self._lowered = positions, weights
+        return self._lowered
+
+    def _entry(self, state: np.ndarray) -> tuple:
+        """(state, its moments, its ten tetrad values) of a complex state
+        whose shape the caller has checked: the kept entry when state is the
+        kept state, else computed and not kept.
+
+        In normal order, M_rs = <a_r psi | a_s psi> + delta_rs |psi|^2 / 2,
+        so M is the 4x4 Gram matrix of the four lowered vectors, gathered
+        and weighted from the lowering table in blocks of _MOMENT_BLOCK
+        basis states.  The kept state is frozen, so its entry never goes
+        stale; any other array may change in place and is never kept.
+        """
+        # read once, so a state is never paired with another state's moments
+        memo = self._memo
+        if memo is not None and state is memo[0]:
+            return memo
+        state = np.ascontiguousarray(state)
+        positions, weights = self._lowering()
+        moments = np.zeros((N_MODES, N_MODES), dtype=complex)
+        for start in range(0, positions.shape[1], _MOMENT_BLOCK):
+            block = slice(start, start + _MOMENT_BLOCK)
+            lowered = np.take(state, positions[:, block])
+            lowered *= weights[:, block]
+            moments += np.conj(lowered) @ lowered.T
+        moments.reshape(-1)[:: N_MODES + 1] += 0.5 * np.vdot(state, state).real
+        moments.setflags(write=False)
+        return state, moments, _tetrad_values(moments)
 
     def index_of(self, state) -> int:
         """Basis position of an occupation tuple; KeyError if it is not in the basis."""
@@ -467,7 +445,7 @@ class FockSpace:
         """a_r: maps |.. n_r ..> to sqrt(n_r) |.. n_r - 1 ..>.
 
         Row m of the lower basis holds one entry, sqrt(m_r + 1) at the
-        column of m + e_r, read from the moments' lowering table; the top
+        column of m + e_r, read from the lowering table; the top
         shell's rows are empty.
         """
         k = _mode_index(r)
@@ -475,7 +453,7 @@ class FockSpace:
             return SparseOperator.zero(self.dimension)
         from scipy import sparse
 
-        positions, weights = self._moments._lowering()
+        positions, weights = self._lowering()
         # an int64 indptr makes scipy store the int32 positions as int64
         # too, the index dtype the pinned ladder bytes hold
         indptr = np.minimum(np.arange(self.dimension + 1, dtype=np.int64), positions.shape[1])
@@ -509,14 +487,14 @@ class FockSpace:
         read-only int64 indices and indptr, and each entry's pair and value.
 
         a_k^+ a_j |p + e_j> = sqrt(p_k + 1) sqrt(p_j + 1) |p + e_k> for p on
-        the basis of cutoff - 1, so the entries come from the moments'
-        lowering table.  A move keeps the shell, where the basis is
+        the basis of cutoff - 1, so the entries come from the lowering
+        table.  A move keeps the shell, where the basis is
         lexicographic in (n1, n2, n3), so every row holds the terms'
         columns in the order of (e_j - e_k)[:3] and nothing is sorted.
         """
         order = tuple(sorted(pairs, key=lambda kj: [(m == kj[1]) - (m == kj[0]) for m in range(3)]))
         if order not in self._patterns:
-            positions, weights = self._moments._lowering()
+            positions, weights = self._lowering()
             # row n holds an entry of a_k^+ a_j when n_k > 0
             present = self.occupations[:, [k for k, _ in order]] > 0
             indptr = np.zeros(self.dimension + 1, dtype=np.int64)
@@ -560,16 +538,17 @@ class FockSpace:
             data = np.take([coefficients[kj] for kj in order], term) * roots
             shape = (self.dimension, self.dimension)
             op = _own(sparse.csr_array((data, indices, indptr), shape=shape))
-        return BilinearOperator(op, self._moments, coefficients, row)
+        return BilinearOperator(op, self, coefficients, row)
 
     def moments(self, state) -> np.ndarray:
-        """Read-only (4, 4) moments M[r-1, s-1] = <state| tau_rs |state>.
+        """Read-only (4, 4) moments M[r-1, s-1] = <state| tau_rs |state>,
+        read from the lowering table (see _entry).
 
         Those of the last state coherent_state made for the space are kept,
         so the operators evaluated on it share them; any other state's are
         computed on each call.
         """
-        return self._moments(_as_state(state, self.dimension))
+        return self._entry(_as_state(state, self.dimension))[1]
 
     def tau(self, r: int, s: int) -> BilinearOperator:
         """Symmetrized bilinear (1/2){a_r^+, a_s} projected to the truncated basis.
@@ -717,7 +696,7 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
         )
     coeffs /= math.sqrt(norm_sq)
     state = _frozen_state(coeffs)
-    space._moments._memo = space._moments._entry(state)
+    space._memo = space._entry(state)
     return state
 
 
@@ -737,26 +716,26 @@ def coherent_bilinear_value(amps: BispinorAmplitudes, scale: float, terms) -> co
 def expectation(op: SparseOperator, state) -> complex:
     """<state| op |state>; real up to rounding when op is Hermitian.
 
-    A tetrad component returns its value among the ten computed with the
-    state's moments (see tetrad_expectations); passed the state
-    coherent_state made last for its space, it returns the kept value
+    A tetrad component returns its value among the ten its space computes
+    with the state's moments (see tetrad_expectations); passed the state
+    coherent_state made last for that space, it returns the kept value
     before checking the shape, which was checked when the state was made.
     Any other BilinearOperator (tau and its combinations) contracts its
-    coefficients with those moments; any other operator multiplies the
-    state.  An operator with no entries gives 0.
+    coefficients with its space's moments of the state; any other operator
+    multiplies the state.  An operator with no entries gives 0.
     """
     bilinear = isinstance(op, BilinearOperator)
     if bilinear and op._row is not None:
-        memo = op._moments._memo
+        memo = op._space._memo
         # coherent_state made the kept state with the space's shape
         if memo is not None and state is memo[0]:
             return memo[2][op._row]
-        return op._moments._entry(_as_state(state, op.dimension))[2][op._row]
+        return op._space._entry(_as_state(state, op.dimension))[2][op._row]
     state = _as_state(state, op.dimension)
     if not op.nnz:
         return 0j
     if bilinear:
-        return complex((op.coefficients * op._moments(state)).sum())
+        return complex((op.coefficients * op._space._entry(state)[1]).sum())
     return complex(np.vdot(state, op @ state))
 
 
@@ -769,4 +748,4 @@ def tetrad_expectations(space: FockSpace, state) -> tuple:
     component has no entries (the spatial ones at cutoff 0) expectation
     gives exactly 0j instead.
     """
-    return space._moments._entry(_as_state(state, space.dimension))[2]
+    return space._entry(_as_state(state, space.dimension))[2]

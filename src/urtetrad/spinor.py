@@ -91,7 +91,10 @@ class GroupElement:
         phi = float(self.phi)
         if not math.isfinite(phi):
             raise ValueError(f"phase phi = {phi!r} is not finite")
-        norm = abs(a) ** 2 + abs(b) ** 2
+        try:
+            norm = abs(a) ** 2 + abs(b) ** 2
+        except OverflowError:  # |a| or |b|, or its square, beyond the largest float
+            norm = math.inf
         # written so that a NaN norm fails the gate too
         if not abs(norm - 1.0) <= ADMISSION_TOL:
             raise NonUnitError(f"|a|^2 + |b|^2 = {norm!r} is not 1 within {ADMISSION_TOL}")

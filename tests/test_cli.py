@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,7 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edges import EDGE_FLOATS
 from urtetrad import fock
 from urtetrad.cli import dumps17, main
 
@@ -83,6 +88,13 @@ def test_tetrad_nonfinite_exit2(capsys, argv):
     assert err.startswith("error:")  # refused by the input checks, not by argparse
 
 
+@pytest.mark.parametrize("pair", [("1.5e154", "0"), ("1e200", "1e200"), ("1.7e308", "1.7e308")])
+def test_tetrad_pair_whose_square_overflows_exit2(capsys, pair):
+    code, out, err = run_cli(capsys, "tetrad", "--a", *pair, "--b", "0", "0", "--real")
+    assert (code, out) == (2, "")
+    assert "is not 1" in err
+
+
 # each exponent-form negative against the plain spelling argparse always took
 @pytest.mark.parametrize(
     "template, value, plain",
@@ -97,6 +109,21 @@ def test_negative_exponent_values_accepted(capsys, template, value, plain):
     got = run_cli(capsys, *template.format(value).split())
     want = run_cli(capsys, *template.format(plain).split())
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(quat=st.lists(EDGE_FLOATS, min_size=4, max_size=4), frame=st.sampled_from(["--real", "--null"]))
+def test_tetrad_quat_exits_0_or_2_with_at_most_one_json_line(quat, frame):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["tetrad", "--quat", *map(repr, quat), frame])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        line = out.getvalue()
+        assert line.count("\n") == 1 and line.endswith("\n")
+        assert json.loads(line)["command"] == "tetrad"
 
 
 def test_tetrad_usage_errors(capsys):

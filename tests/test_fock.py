@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edges import EDGE_COMPLEX, EDGE_FLOATS
 from urtetrad import fock
 from urtetrad.cli import main
 from urtetrad.fock import (
@@ -31,6 +32,7 @@ from urtetrad.fock import (
 )
 from urtetrad.spinor import GroupElement, dyad_from_element, random_group_element
 from urtetrad.tetrad import real_tetrad
+from urtetrad.verify import _coherent_scale_for_cutoff
 
 MODES = (1, 2, 3, 4)
 
@@ -82,6 +84,18 @@ def test_cutoff_bound():
     for cutoff in (2.7, math.nan, math.inf):
         with pytest.raises(ValueError, match="integer"):
             FockSpace(cutoff)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cutoff=EDGE_FLOATS)
+def test_fock_space_refuses_or_has_the_binomial_dimension(cutoff):
+    try:
+        space = FockSpace(cutoff)
+    except ValueError as exc:
+        assert type(exc) in (ValueError, CutoffTooLargeError)
+        return
+    assert space.cutoff == cutoff
+    assert space.dimension == math.comb(space.cutoff + 4, 4) == len(space.occupations)
 
 
 def test_bad_mode():
@@ -451,6 +465,57 @@ def test_coherent_moments_match_analytic():
                 assert abs(expectation(op, state) - want) < 1e-6
 
 
+def _exp_partial_sum(intensity, cutoff):
+    """E_C(I) = sum_{n <= C} I^n / n!; E_{-1} = 0."""
+    term, total = 1.0, 0.0
+    for n in range(cutoff + 1):
+        if n:
+            term *= intensity / n
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 4, 8, 12, 20])
+def test_truncated_coherent_moments_match_the_closed_form(cutoff):
+    # a_s P<=C |alpha> = alpha_s P<=C-1 |alpha>, so on the normalised
+    # truncation <tau_rs> = conj(alpha_r) alpha_s E_{C-1}(I) / E_C(I) + delta_rs / 2,
+    # with I the total intensity: exact, unlike the untruncated limit
+    space = FockSpace(cutoff)
+    scale = _coherent_scale_for_cutoff(cutoff)
+    rng = np.random.default_rng(400 + cutoff)
+    for _ in range(50):
+        amps = BispinorAmplitudes.from_element(random_group_element(rng))
+        alphas = scale * amps.as_array()
+        intensity = float(np.sum(np.abs(alphas) ** 2))
+        ratio = _exp_partial_sum(intensity, cutoff - 1) / _exp_partial_sum(intensity, cutoff)
+        want = ratio * np.outer(np.conj(alphas), alphas) + 0.5 * np.eye(4)
+        got = space.moments(coherent_state(space, amps, scale))
+        assert np.abs(got - want).max() < 1e-12, (cutoff, amps)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 4, 6])
+def test_time_component_commutes_exactly_with_every_component(cutoff):
+    # t0 is constant on each shell and every component keeps the shell
+    space = FockSpace(cutoff)
+    t0 = tetrad_component(space, "t0")
+    for name in TETRAD_BILINEARS:
+        op = tetrad_component(space, name)
+        assert (t0 @ op - op @ t0).max_abs() == 0.0, (cutoff, name)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 4, 6])
+def test_number_conserving_bilinears_close_u4_on_the_whole_space(cutoff):
+    # E_rs = a_r^+ a_s keeps the shell, so [E_rs, E_tu] = delta_st E_ru - delta_ru E_ts
+    # holds on every state, the top shell included
+    space = FockSpace(cutoff)
+    gen = {(r, s): space.creator(r) @ space.annihilator(s) for r in MODES for s in MODES}
+    zero = SparseOperator.zero(space.dimension)
+    for (r, s), (t, u) in itertools.product(gen, repeat=2):
+        want = zero + (gen[r, u] if s == t else zero) - (gen[t, s] if r == u else zero)
+        comm = gen[r, s] @ gen[t, u] - gen[t, u] @ gen[r, s]
+        assert (comm - want).max_abs() < 1e-12, (cutoff, r, s, t, u)
+
+
 def test_coherent_z3_matches_classical():
     space = FockSpace(12)
     amps = BispinorAmplitudes.from_element(GroupElement(1, 0))
@@ -648,17 +713,6 @@ def test_coherent_nonfinite_scale_rejected(scale):
         coherent_state(space, amps, scale)
 
 
-# floats at the edges of coherent_state's input: non-finite values, signed
-# zeros, subnormals and magnitudes near 1e154, whose squares overflow
-EDGE_FLOATS = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e154, -1.5e154]),
-    st.floats(),
-    st.floats(min_value=1e153, max_value=1e155),
-    st.floats(min_value=-1.0, max_value=1.0),
-)
-EDGE_COMPLEX = st.builds(complex, EDGE_FLOATS, EDGE_FLOATS)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     cutoff=st.sampled_from([0, 1, 4]),
@@ -676,7 +730,7 @@ def test_coherent_state_refuses_or_keeps_a_frozen_finite_state(cutoff, amps, sca
     assert np.isfinite(state).all() and not state.flags.writeable
     with pytest.raises(ValueError):
         state.setflags(write=True)
-    kept = space._moments._memo
+    kept = space._memo
     assert kept[0] is state
     values = tetrad_expectations(space, np.array(state))
     assert np.array(values).tobytes() == np.array(kept[2]).tobytes()
@@ -734,15 +788,15 @@ def test_moments_are_read_only_and_kept_for_the_state_made_last():
     space = FockSpace(4)
     first, second = moment_states(space, 7)[:2]
     # kept when it is made, before any expectation asks for it
-    assert space._moments._memo[0] is second
+    assert space._memo[0] is second
     moments = space.moments(second)
     assert moments.shape == (4, 4) and not moments.flags.writeable
-    assert moments is space._moments._memo[1]
+    assert moments is space._memo[1]
     # any other array is computed again each time and not kept
     other = space.moments(first)
     assert not other.flags.writeable and space.moments(first) is not other
     np.testing.assert_array_equal(space.moments(first), other)
-    assert space._moments._memo[0] is second
+    assert space._memo[0] is second
 
 
 def test_bilinear_operator_outlives_its_space():
@@ -788,7 +842,7 @@ def test_zero_component_skips_the_state():
         amps = BispinorAmplitudes.from_element(GroupElement(0.6, 0.8j))
         state = coherent_state(space, amps, MOMENT_CUTOFF_SCALES[cutoff])
         values = {label: expectation(op, state) for label, op in comps.items()}
-        assert space._moments._memo[0] is state
+        assert space._memo[0] is state
         for label, value in values.items():
             # the zero operators, and at cutoff 0 the spatial components too
             if label not in TETRAD_BILINEARS or (cutoff == 0 and label != "t0"):
@@ -828,8 +882,8 @@ def test_components_of_one_coherent_state_share_one_moment_matrix(monkeypatch):
     state = coherent_state(space, amps, 0.1)
     first = expectation(comps[0], state)
     # the frozen state itself is the key, so the next calls hit by identity
-    assert space._moments._memo[0] is state
-    monkeypatch.setattr(fock._MomentMatrix, "_lowering", _no_lowering)
+    assert space._memo[0] is state
+    monkeypatch.setattr(fock.FockSpace, "_lowering", _no_lowering)
     values = [first] + [expectation(op, state) for op in comps[1:]]
     for op, value in zip(comps, values):
         assert abs(value - np.vdot(state, op.matrix @ state)) < 1e-12
@@ -839,9 +893,9 @@ def _assert_recomputed_as_kept(monkeypatch, space, copies):
     """Each array in copies holds the kept state's values: its ten values
     and moments are computed again, bit for bit the kept ones, and the
     kept entry stays."""
-    kept = space._moments._memo
-    lowering, calls = fock._MomentMatrix._lowering, []
-    monkeypatch.setattr(fock._MomentMatrix, "_lowering", lambda self: calls.append(self) or lowering(self))
+    kept = space._memo
+    lowering, calls = fock.FockSpace._lowering, []
+    monkeypatch.setattr(fock.FockSpace, "_lowering", lambda self: calls.append(self) or lowering(self))
     for n, twin in enumerate(copies, 1):
         assert twin is not kept[0]
         values = tetrad_expectations(space, twin)
@@ -849,13 +903,13 @@ def _assert_recomputed_as_kept(monkeypatch, space, copies):
         assert np.array(values).tobytes() == np.array(kept[2]).tobytes()
         assert space.moments(twin).tobytes() == kept[1].tobytes()
         assert len(calls) == 2 * n
-        assert space._moments._memo is kept
+        assert space._memo is kept
 
 
 def test_a_writable_copy_of_the_state_is_recomputed_bit_for_bit(monkeypatch):
     space = FockSpace(4)
     state = coherent_state(space, BispinorAmplitudes.from_element(GroupElement(0.6, 0.8j)), 0.1)
-    assert space._moments._memo[0] is state
+    assert space._memo[0] is state
     op = tetrad_component(space, "x2")
     value = expectation(op, state)
     twin = np.array(state)
@@ -865,7 +919,7 @@ def test_a_writable_copy_of_the_state_is_recomputed_bit_for_bit(monkeypatch):
     # changed in place, the copy gives its own value
     twin[1] += 0.25j
     changed = expectation(op, twin)
-    assert changed != value and space._moments._memo[0] is state
+    assert changed != value and space._memo[0] is state
     assert abs(changed - np.vdot(twin, op.matrix @ twin)) < 1e-12
 
 
@@ -894,9 +948,9 @@ def test_an_unpickled_coherent_state_changed_in_place_misses(protocol):
     assert state.flags.writeable and isinstance(state.base, bytes)
     op = tetrad_component(space, "z1")
     # asked directly: expectation may pass the memo a view with numpy's own dtype
-    before = space._moments(state)
+    before = space._entry(state)[1]
     state[5] += 1
-    after = space._moments(state)
+    after = space._entry(state)[1]
     assert (after != before).any()
     truth = np.vdot(state, op.matrix @ state)
     assert abs((op.coefficients * after).sum() - truth) < 1e-12
@@ -916,7 +970,7 @@ def test_derived_operators_take_the_matvec_route(monkeypatch):
     def no_moments(self, state):
         raise AssertionError("a derived operator read the moments")
 
-    monkeypatch.setattr(fock._MomentMatrix, "__call__", no_moments)
+    monkeypatch.setattr(fock.FockSpace, "_entry", no_moments)
     for name, (op, want) in derived.items():
         assert not isinstance(op, BilinearOperator), name
         assert abs(expectation(op, state) - want) < 1e-12, name
@@ -960,7 +1014,7 @@ def test_ten_expectations_of_one_coherent_state_cost_one_moment_matrix_and_one_c
     space = FockSpace(4)
     comps = [tetrad_component(space, name) for name in TETRAD_BILINEARS]
     calls = {"moments": 0, "contractions": 0}
-    lowering, contract = fock._MomentMatrix._lowering, fock._tetrad_values
+    lowering, contract = fock.FockSpace._lowering, fock._tetrad_values
 
     def counted_lowering(self):
         calls["moments"] += 1
@@ -970,7 +1024,7 @@ def test_ten_expectations_of_one_coherent_state_cost_one_moment_matrix_and_one_c
         calls["contractions"] += 1
         return contract(moments)
 
-    monkeypatch.setattr(fock._MomentMatrix, "_lowering", counted_lowering)
+    monkeypatch.setattr(fock.FockSpace, "_lowering", counted_lowering)
     monkeypatch.setattr(fock, "_tetrad_values", counted_contract)
     rng = np.random.default_rng(47)
     for n in (1, 2):
@@ -986,8 +1040,8 @@ def test_an_earlier_coherent_state_and_a_frozen_copy_are_recomputed_bit_for_bit(
     amps = BispinorAmplitudes.from_element(GroupElement(0.6, 0.8j))
     earlier = coherent_state(space, amps, 0.1)
     state = coherent_state(space, amps, 0.1)
-    assert space._moments._memo[0] is state
-    assert tetrad_expectations(space, state) is space._moments._memo[2]
+    assert space._memo[0] is state
+    assert tetrad_expectations(space, state) is space._memo[2]
     # the earlier state is no longer kept; a caller's frozen array never is
     frozen = np.array(state)
     frozen.setflags(write=False)
@@ -1023,16 +1077,33 @@ def test_a_pickled_component_carries_its_matrix_and_cutoff_only():
 
 
 @pytest.mark.parametrize("cutoff", [0, 1, 4])
-def test_components_pickled_together_share_one_moment_object(cutoff):
+def test_components_pickled_together_share_one_space(cutoff):
     space = FockSpace(cutoff)
     ops = [tetrad_component(space, name) for name in ("t0", "x2", "y3")] + [space.tau(2, 1)]
     state = moment_states(space, 59)[2]
     loaded = pickle.loads(pickle.dumps(ops))
-    moments = loaded[0]._moments
-    assert all(op._moments is moments for op in loaded)
-    assert moments is not space._moments and moments._memo is None
-    np.testing.assert_array_equal(moments._below, space._moments._below)
-    assert moments._below.shape[1] == 4 and not moments._below.flags.writeable
+    twin_space = loaded[0]._space
+    assert all(op._space is twin_space for op in loaded)
+    assert twin_space is not space and twin_space._memo is None
+    np.testing.assert_array_equal(twin_space.occupations, space.occupations)
+    assert not twin_space.occupations.flags.writeable
     for op, twin in zip(ops, loaded):
         assert twin._row == op._row
         assert expectation(twin, state) == expectation(op, state)
+
+
+def test_a_pickled_space_carries_its_cutoff_only():
+    space = FockSpace(30)
+    # the tables and the kept state are filled, and none of them is pickled
+    tetrad = operator_tetrad(space)
+    coherent_state(space, BispinorAmplitudes(1, 0, 0, 1), 0.1)
+    data = pickle.dumps(space)
+    assert len(data) < 200
+    loaded = pickle.loads(data)
+    assert loaded.cutoff == 30 and loaded._memo is None
+    for (label, op), (_, twin) in zip(tetrad.components(), operator_tetrad(loaded).components()):
+        for part, twin_part in zip(
+            (op.matrix.data, op.matrix.indices, op.matrix.indptr),
+            (twin.matrix.data, twin.matrix.indices, twin.matrix.indptr),
+        ):
+            assert part.dtype == twin_part.dtype and part.tobytes() == twin_part.tobytes(), label

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edges import EDGE_COMPLEX, EDGE_FLOATS
 from urtetrad.spinor import (
     ADMISSION_TOL,
     EPSILON,
@@ -267,3 +268,34 @@ def test_epsilon_identities():
     assert np.array_equal(EPSILON, -EPSILON.T)
     np.testing.assert_array_equal(EPSILON @ EPSILON.T, np.eye(2))
     np.testing.assert_array_equal(EPSILON @ EPSILON, -np.eye(2))
+
+
+# the renormalisation leaves a point within _RENORM_SKIP of the sphere
+_SNAPPED = 1e-13
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=EDGE_COMPLEX, b=EDGE_COMPLEX, phi=EDGE_FLOATS)
+def test_group_element_refuses_or_lands_on_the_sphere(a, b, phi):
+    try:
+        g = GroupElement(a, b, phi)
+    except ValueError as exc:
+        assert type(exc) in (ValueError, NonUnitError)
+        return
+    parts = (g.a.real, g.a.imag, g.b.real, g.b.imag, g.phi)
+    assert all(math.isfinite(part) for part in parts) and 0.0 <= g.phi < 2.0 * math.pi
+    assert abs(abs(g.a) ** 2 + abs(g.b) ** 2 - 1.0) <= _SNAPPED
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=EDGE_FLOATS, x=EDGE_FLOATS, y=EDGE_FLOATS, z=EDGE_FLOATS)
+def test_quaternion_point_refuses_or_lands_on_the_sphere(w, x, y, z):
+    try:
+        q = QuaternionPoint(w, x, y, z)
+    except ValueError as exc:
+        assert type(exc) in (ValueError, NonUnitError)
+        return
+    parts = q.as_array()
+    assert np.isfinite(parts).all()
+    assert abs(float(parts @ parts) - 1.0) <= _SNAPPED
+
