@@ -3,6 +3,11 @@ operator queries, and the expansion law.  All results go to stdout as
 JSON with a fixed key order and floats printed to 17 significant digits,
 so identical flags give byte-identical output; diagnostics go to stderr.
 
+Each subcommand imports the modules it uses when it runs, so `cosmos` and
+`--help` load no numpy, and `fock --expect-coherent` reads its value from
+the state's moments and loads no scipy; only `fock --matrix` builds an
+operator.
+
 Exit codes: 0 success, 1 verification or physics failure, 2 usage error,
 141 (128 + SIGPIPE) when the reader closes stdout before all of it is
 written; that case writes nothing to stderr.
@@ -16,11 +21,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import cosmos, fock, spinor, tetrad
-from .verify import SUITES, run_verification
-
 __all__ = ["main", "build_parser", "dumps17"]
 
 _CONVENTION = (
@@ -30,15 +30,15 @@ _CONVENTION = (
 
 
 def _emit(obj, out):
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"cannot write the non-finite float {float(obj)!r} as JSON")
         out.append(format(float(obj), ".17g"))
@@ -81,11 +81,9 @@ def _complex_vector(vec) -> list:
     return [_pair(z) for z in vec]
 
 
-def _real_vector(vec) -> list:
-    return [float(x) for x in vec]
+def _element_from_args(args):
+    from . import spinor
 
-
-def _element_from_args(args) -> spinor.GroupElement:
     if args.quat is not None:
         if args.a is not None or args.b is not None:
             raise ValueError("give either --quat or the pair --a/--b, not both")
@@ -97,6 +95,8 @@ def _element_from_args(args) -> spinor.GroupElement:
 
 
 def _cmd_tetrad(args) -> int:
+    from . import spinor, tetrad
+
     g = _element_from_args(args)
     q = spinor.to_quaternion(g)
     doc = {
@@ -106,17 +106,17 @@ def _cmd_tetrad(args) -> int:
             "a": _pair(g.a),
             "b": _pair(g.b),
             "phi": g.phi,
-            "quaternion": _real_vector(q.as_array()),
+            "quaternion": q.as_array().tolist(),
         },
         "convention": _CONVENTION,
     }
     d = spinor.dyad_from_element(g)
     if args.real:
         rt = tetrad.real_tetrad(d)
-        doc["t"] = _real_vector(rt.t)
-        doc["z"] = _real_vector(rt.z)
-        doc["x"] = _real_vector(rt.x)
-        doc["y"] = _real_vector(rt.y)
+        doc["t"] = rt.t.tolist()
+        doc["z"] = rt.z.tolist()
+        doc["x"] = rt.x.tolist()
+        doc["y"] = rt.y.tolist()
     else:
         nt = tetrad.null_tetrad(d)
         doc["l"] = _complex_vector(nt.l)
@@ -128,6 +128,8 @@ def _cmd_tetrad(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification
+
     report = run_verification(
         suite=args.suite,
         samples=args.samples,
@@ -147,6 +149,8 @@ _TAU_ARITY = 3
 
 
 def _parse_op(tokens):
+    from . import fock
+
     name = tokens[0]
     if name == "tau":
         if len(tokens) != _TAU_ARITY:
@@ -165,12 +169,6 @@ def _parse_op(tokens):
     raise ValueError(f"unknown operator {' '.join(tokens)!r}; known: {known}")
 
 
-def _build_op(space, op_spec):
-    if op_spec[0] == "tau":
-        return space.tau(op_spec[1], op_spec[2])
-    return fock.tetrad_component(space, op_spec[0])
-
-
 def _classical_expectation(op_spec, g, scale):
     """Analytic prediction for the coherent-state expectation of the operator.
 
@@ -179,6 +177,8 @@ def _classical_expectation(op_spec, g, scale):
     tau components use the coherent moment conj(alpha_r) alpha_s plus the
     diagonal half.
     """
+    from . import fock, spinor, tetrad
+
     amps = fock.BispinorAmplitudes.from_element(g)
     if op_spec[0] == "tau":
         return fock.coherent_bilinear_value(amps, scale, ((1.0, op_spec[1], op_spec[2]),))
@@ -191,9 +191,10 @@ def _classical_expectation(op_spec, g, scale):
 
 
 def _cmd_fock(args) -> int:
+    from . import fock, spinor
+
     op_spec = _parse_op(args.op)
     space = fock.FockSpace(args.cutoff)
-    op = _build_op(space, op_spec)
     doc = {
         "command": "fock",
         "cutoff": space.cutoff,
@@ -201,6 +202,10 @@ def _cmd_fock(args) -> int:
         "op": " ".join(args.op),
     }
     if args.matrix:
+        if op_spec[0] == "tau":
+            op = space.tau(op_spec[1], op_spec[2])
+        else:
+            op = fock.tetrad_component(space, op_spec[0])
         doc["triplets"] = [
             {"row": r, "col": c, "re": v.real, "im": v.imag} for r, c, v in op.triplets()
         ]
@@ -208,8 +213,18 @@ def _cmd_fock(args) -> int:
         a_re, a_im, b_re, b_im, phi, scale = args.expect_coherent
         g = spinor.GroupElement(complex(a_re, a_im), complex(b_re, b_im), phi)
         amps = fock.BispinorAmplitudes.from_element(g)
-        state = fock.coherent_state(space, amps, scale)
-        value = fock.expectation(op, state)
+        try:
+            state = fock.coherent_state(space, amps, scale)
+        except fock.TruncationTooLossyError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        # the arithmetic of fock.expectation, with no operator built
+        if op_spec[0] == "tau":
+            coefficients = fock._coefficient_matrix(((1.0, op_spec[1], op_spec[2]),))
+            value = complex((coefficients * space.moments(state)).sum())
+        else:
+            row = list(fock.TETRAD_BILINEARS).index(op_spec[0])
+            value = fock.tetrad_expectations(space, state)[row]
         classical = _classical_expectation(op_spec, g, scale)
         doc["input"] = {"a": _pair(g.a), "b": _pair(g.b), "phi": g.phi, "scale": float(scale)}
         doc["expectation"] = _pair(value)
@@ -220,6 +235,8 @@ def _cmd_fock(args) -> int:
 
 
 def _cmd_cosmos(args) -> int:
+    from . import cosmos
+
     model = cosmos.ExpansionModel(args.r0, args.c)
     radius = cosmos.radius_at(model, args.epoch)
     doc = {
@@ -275,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-12,
                    help="tolerance for algebraic identities (default 1e-12)")
-    p.add_argument("--suite", choices=SUITES, default="all")
+    p.add_argument("--suite", choices=("spinor", "tetrad", "fock", "all"), default="all")
     p.add_argument("--cutoff", type=int, default=4, help="Fock cutoff for the fock suite")
     p.set_defaults(func=_cmd_verify)
 
@@ -310,9 +327,6 @@ def _run(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except fock.TruncationTooLossyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,9 +18,7 @@ import numpy as np
 
 from . import fock, spinor, tetrad
 
-__all__ = ["SUITES", "run_verification"]
-
-SUITES = ("spinor", "tetrad", "fock", "all")
+__all__ = ["run_verification"]
 
 _MODES = (1, 2, 3, 4)
 
@@ -304,8 +302,8 @@ def run_verification(
     unknown suite, samples < 1, a cutoff that is not a nonnegative integer
     or a tolerance that is negative or not finite.
     """
-    if suite not in SUITES:
-        raise ValueError(f"suite must be one of {SUITES}")
+    if suite not in (*_RECORDS, "all"):
+        raise ValueError(f"suite must be one of {(*_RECORDS, 'all')}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if not (0 <= cutoff < math.inf and cutoff % 1 == 0):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edges import EDGE_FLOATS
-from urtetrad import fock
+from urtetrad import fock, spinor, verify
 from urtetrad.cli import dumps17, main
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -370,3 +371,98 @@ def test_closed_stdout_exits_141_quietly(argv, child_env):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""  # no traceback, no message
+
+
+OPERATORS = [[name] for name in fock.TETRAD_BILINEARS] + [
+    ["tau", str(r), str(s)] for r in range(1, 5) for s in range(1, 5)
+]
+# a = -0.6 - 0i, b = -0.48 + 0.64i, phi = -0.7: negative real parts and a signed zero
+PAIR = ("-0.6", "-0.0", "-0.48", "0.64", "-0.7")
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 4, 12])
+def test_expect_coherent_value_is_the_expectation_bit_for_bit(capsys, cutoff):
+    scale = float(verify._coherent_scale_for_cutoff(cutoff))
+    space = fock.FockSpace(cutoff)
+    g = spinor.GroupElement(complex(-0.6, -0.0), complex(-0.48, 0.64), -0.7)
+    state = fock.coherent_state(space, fock.BispinorAmplitudes.from_element(g), scale)
+    for op in OPERATORS:
+        argv = ["fock", "--cutoff", str(cutoff), "--op", *op, "--expect-coherent", *PAIR, repr(scale)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        # parse_int keeps the sign of a printed -0
+        got = json.loads(out, parse_int=float)["expectation"]
+        if op[0] == "tau":
+            want = fock.expectation(space.tau(int(op[1]), int(op[2])), state)
+        else:
+            want = fock.expectation(fock.tetrad_component(space, op[0]), state)
+        assert [x.hex() for x in got] == [want.real.hex(), want.imag.hex()], op
+
+
+# sha256 of the five help screens at 80 columns, as Python 3.11's argparse lays them out
+HELP_SHA256 = {
+    (): "8609a0b2de2f2a14e47bf9b3492afd7a640e0324c231f72acbc59bef8c643210",
+    ("tetrad",): "c7931bbd5091ee6be285201fb78ba4dbf5d52d44b4cdd4117fcd9a2f8b7f0c03",
+    ("verify",): "e88843572ba10f5f50680a1d4ee52b63fb687be903613f1655fa24d5e418e282",
+    ("fock",): "56ce9bc67181ca883b1e5d7e224212def42e2c25c8e606f99809d4971f0511d2",
+    ("cosmos",): "0367d8516633b5391a192c4861afe525bba8689187329964edc70b1ca106a572",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's help layout varies by Python version")
+@pytest.mark.parametrize("command", list(HELP_SHA256), ids=lambda c: " ".join(c) or "top")
+def test_help_screens_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *command, "--help")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+def _assert_exit_and_one_json_line(argv):
+    """Exit 0, 1 or 2; stdout one JSON line of argv's command on exit 0, else empty."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    line = out.getvalue()
+    if code:
+        assert line == ""
+    else:
+        assert line.count("\n") == 1 and line.endswith("\n")
+        assert json.loads(line)["command"] == argv[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(r0=EDGE_FLOATS, c=EDGE_FLOATS, epoch=EDGE_FLOATS)
+def test_cosmos_exits_0_1_or_2_with_at_most_one_json_line(r0, c, epoch):
+    _assert_exit_and_one_json_line(["cosmos", "--r0", repr(r0), "--c", repr(c), "--epoch", repr(epoch)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    parts=st.lists(EDGE_FLOATS, min_size=5, max_size=5),
+    frame=st.sampled_from(["--real", "--null"]),
+)
+def test_tetrad_pair_exits_0_1_or_2_with_at_most_one_json_line(parts, frame):
+    a_re, a_im, b_re, b_im, phi = map(repr, parts)
+    _assert_exit_and_one_json_line(
+        ["tetrad", "--a", a_re, a_im, "--b", b_re, b_im, "--phi", phi, frame]
+    )
+
+
+# unit pairs, so some draws pass the group-element check
+UNIT_PAIRS = st.sampled_from([(1.0, 0.0, 0.0, 0.0), (-0.6, -0.0, -0.48, 0.64), (0.0, 0.6, -0.8, 0.0)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cutoff=st.integers(0, 6),
+    op=st.sampled_from(OPERATORS),
+    pair=st.one_of(UNIT_PAIRS, st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS)),
+    phi=EDGE_FLOATS,
+    scale=EDGE_FLOATS,
+    matrix=st.booleans(),
+)
+def test_fock_exits_0_1_or_2_with_at_most_one_json_line(cutoff, op, pair, phi, scale, matrix):
+    mode = ["--matrix"] if matrix else ["--expect-coherent", *map(repr, (*pair, phi, scale))]
+    _assert_exit_and_one_json_line(["fock", "--cutoff", str(cutoff), "--op", *op, *mode])
