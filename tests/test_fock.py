@@ -674,6 +674,60 @@ def test_ladder_operators_pinned():
     assert digest.hexdigest() == LADDER_CSR_SHA256
 
 
+def _digest_parts(digest, *parts):
+    for part in parts:
+        digest.update(str(part.dtype).encode())
+        digest.update(part.tobytes())
+
+
+# sha256 over the dtype, data, indices and indptr bytes of total_quanta(),
+# tau(r, r) for r = 1..4, t0 and z3 at cutoffs 0..12 and 30, recorded before
+# from_diagonal wrote its own CSR arrays
+DIAGONAL_CSR_SHA256 = "e2e8eea0c9f8d786a3f3189374382a8d15ac41824fdeee483f2a68ca034a27c6"
+
+
+def test_diagonal_operators_pinned():
+    digest = hashlib.sha256()
+    for cutoff in (*range(13), 30):
+        space = FockSpace(cutoff)
+        ops = [space.total_quanta(), *(space.tau(r, r) for r in MODES)]
+        ops += [tetrad_component(space, name) for name in ("t0", "z3")]
+        for op in ops:
+            _digest_parts(digest, op.matrix.data, op.matrix.indices, op.matrix.indptr)
+    assert digest.hexdigest() == DIAGONAL_CSR_SHA256
+
+
+# sha256 over the dtype and bytes of the occupations and of the lowering
+# table's positions and weights at cutoffs 0..30, recorded before the basis
+# was listed by one nonzero and ranked from one binomial table
+BASIS_SHA256 = "aba193c73c9186ebc6b343066b2f99c9a4f1d8c80551520abae480b5d490dad4"
+
+
+def test_basis_and_lowering_table_pinned():
+    digest = hashlib.sha256()
+    for cutoff in range(31):
+        space = FockSpace(cutoff)
+        _digest_parts(digest, space.occupations, *space._lowering())
+    assert digest.hexdigest() == BASIS_SHA256
+
+
+def test_from_diagonal_edges():
+    with pytest.raises(TypeError):
+        SparseOperator.from_diagonal(1.0)
+    with pytest.raises(ValueError):
+        SparseOperator.from_diagonal(np.ones((2, 2)))
+    empty = SparseOperator.from_diagonal([]).matrix
+    assert empty.shape == (0, 0) and empty.nnz == 0
+    assert empty.indices.dtype == empty.indptr.dtype == np.int32
+    assert empty.indptr.tolist() == [0]
+    # -0.0 is a zero and is dropped; NaN is not and is kept
+    mat = SparseOperator.from_diagonal([1.0, -0.0, math.nan, 0.0, 2j]).matrix
+    assert mat.shape == (5, 5) and mat.data.dtype == complex
+    assert mat.indices.dtype == mat.indptr.dtype == np.int32
+    assert mat.indices.tolist() == [0, 2, 4] and mat.indptr.tolist() == [0, 1, 1, 2, 2, 3]
+    assert mat.data[0] == 1.0 and np.isnan(mat.data[1].real) and mat.data[2] == 2j
+
+
 # sha256 of the coherent-state bytes of three seeded draws at cutoffs 4 and
 # 30, and of the 16 expectation values at cutoff 30 on two seeded coherent
 # states, recorded before the coherent state was gathered from one product
