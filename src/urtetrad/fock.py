@@ -114,9 +114,7 @@ class SparseOperator:
 
     @staticmethod
     def identity(dimension: int) -> "SparseOperator":
-        from scipy import sparse
-
-        return _own(sparse.eye_array(dimension, dtype=complex, format="csr"))
+        return SparseOperator.from_diagonal(np.ones(dimension))
 
     @staticmethod
     def zero(dimension: int) -> "SparseOperator":
@@ -126,10 +124,18 @@ class SparseOperator:
 
     @staticmethod
     def from_diagonal(values) -> "SparseOperator":
+        """The diagonal operator of a 1-D sequence, its int32 CSR arrays
+        written here; a zero (-0.0 too) is not stored, NaN is."""
         from scipy import sparse
 
         values = np.asarray(values, dtype=complex)
-        return _own(sparse.diags_array(values, format="csr"))
+        if values.ndim != 1:  # TypeError for a scalar, which has no len()
+            raise (ValueError if values.ndim else TypeError)("a diagonal must be 1-D")
+        nonzero = values != 0
+        indptr = np.zeros(len(values) + 1, dtype=np.int32)
+        np.cumsum(nonzero, out=indptr[1:])
+        data = (values[nonzero], np.flatnonzero(nonzero).astype(np.int32), indptr)
+        return _own(sparse.csr_array(data, shape=(len(values),) * 2))
 
     @property
     def dimension(self) -> int:
@@ -271,24 +277,19 @@ def _occupations(cutoff: int) -> np.ndarray:
 
     Within shell t, n4 = t - n1 - n2 - n3 is fixed by the rest, so the shell
     is the lexicographic (n1, n2, n3) with sum <= t, each completed by n4.
+    One row-major nonzero over (shell, triple) lists every shell in turn.
     """
     grid = np.indices((cutoff + 1,) * 3, dtype=np.int64).reshape(3, -1).T
     sums = grid.sum(axis=1)
     keep = sums <= cutoff
     triples, sums = grid[keep], sums[keep]
-    shells = []
-    for total in range(cutoff + 1):
-        inside = sums <= total
-        shells.append(np.column_stack((triples[inside], total - sums[inside])))
-    return np.concatenate(shells)
+    shell, which = np.nonzero(sums <= np.arange(cutoff + 1)[:, None])
+    return np.column_stack((triples[which], shell - sums[which]))
 
 
-def _choose(n: np.ndarray, k: int) -> np.ndarray:
-    """Elementwise binomial(n, k) of a nonnegative integer array."""
-    out = np.ones_like(n)
-    for j in range(k):
-        out = out * (n - j)
-    return out // math.factorial(k)
+# C(n, k) for k <= 4 and n <= T + 4 <= 71: MAX_STATES caps the cutoff at 67
+_BINOMIAL = np.array([[math.comb(n, k) for k in range(N_MODES + 1)] for n in range(72)])
+_BINOMIAL.setflags(write=False)
 
 
 def _rank(occ) -> np.ndarray:
@@ -298,18 +299,18 @@ def _rank(occ) -> np.ndarray:
     T and rest R = T - n1, the position is
     C(T+4, 4) - C(R+3, 3) + C(R+2, 2) - C(R-n2+2, 2) + n3, i.e. all states
     up to shell T, less those of shell T whose n1 is not smaller, plus
-    those with this n1 and a smaller n2, plus n3.  Rows must lie in the
-    basis; nothing here checks that.
+    those with this n1 and a smaller n2, plus n3.  Each C is read from
+    _BINOMIAL, so rows must lie in an admitted basis; nothing checks that.
     """
     n1, n2, n3, n4 = np.asarray(occ, dtype=np.int64).T
     # summed by column: numpy reduces a short last axis slowly
     total = n1 + n2 + n3 + n4
     rest = total - n1
     return (
-        _choose(total + 4, 4)
-        - _choose(rest + 3, 3)
-        + _choose(rest + 2, 2)
-        - _choose(rest - n2 + 2, 2)
+        _BINOMIAL[total + 4, 4]
+        - _BINOMIAL[rest + 3, 3]
+        + _BINOMIAL[rest + 2, 2]
+        - _BINOMIAL[rest - n2 + 2, 2]
         + n3
     )
 
@@ -353,7 +354,7 @@ class FockSpace:
         self.dimension = dimension
         self.occupations = _occupations(cutoff)
         self.occupations.setflags(write=False)
-        # CSR patterns of sums of a_k^+ a_j, filled by _pattern
+        # CSR patterns of sums of a_k^+ a_j by their pairs, filled by _pattern
         self._patterns = {}
         # (positions, weights), filled by _lowering
         self._lowered = None
@@ -374,13 +375,9 @@ class FockSpace:
         if self._lowered is None:
             below = self.occupations[: math.comb(self.cutoff - 1 + N_MODES, N_MODES)]
             # MAX_STATES < 2**31, so the positions fit int32
-            positions = np.empty((N_MODES, len(below)), dtype=np.int32)
-            weights = np.empty((N_MODES, len(below)))
-            for k in range(N_MODES):
-                raised = below.copy()
-                raised[:, k] += 1
-                positions[k] = _rank(raised)
-                weights[k] = np.sqrt(below[:, k] + 1.0)
+            unit = np.eye(N_MODES, dtype=np.int64)
+            positions = np.array([_rank(below + e) for e in unit], dtype=np.int32)
+            weights = np.sqrt(below.T + 1.0, order="C")
             positions.setflags(write=False)
             weights.setflags(write=False)
             self._lowered = positions, weights
@@ -482,9 +479,10 @@ class FockSpace:
         return self._coherent
 
     def _pattern(self, pairs):
-        """The canonical CSR pattern of the sum of a_k^+ a_j over (k, j)
-        pairs (0-based, k != j), kept per space: the pairs in column order,
-        read-only int64 indices and indptr, and each entry's pair and value.
+        """The canonical CSR pattern of the sum of a_k^+ a_j over a frozenset
+        of (k, j) pairs (0-based, k != j), kept per space under that set: the
+        pairs in column order, read-only int64 indices and indptr, and each
+        entry's pair and value.
 
         a_k^+ a_j |p + e_j> = sqrt(p_k + 1) sqrt(p_j + 1) |p + e_k> for p on
         the basis of cutoff - 1, so the entries come from the lowering
@@ -492,8 +490,8 @@ class FockSpace:
         lexicographic in (n1, n2, n3), so every row holds the terms'
         columns in the order of (e_j - e_k)[:3] and nothing is sorted.
         """
-        order = tuple(sorted(pairs, key=lambda kj: [(m == kj[1]) - (m == kj[0]) for m in range(3)]))
-        if order not in self._patterns:
+        if pairs not in self._patterns:
+            order = tuple(sorted(pairs, key=lambda kj: [(m == kj[1]) - (m == kj[0]) for m in range(3)]))
             positions, weights = self._lowering()
             # row n holds an entry of a_k^+ a_j when n_k > 0
             present = self.occupations[:, [k for k, _ in order]] > 0
@@ -513,8 +511,8 @@ class FockSpace:
                 roots[dest] = weights[k] * weights[j]
             for array in (indices, indptr):
                 array.setflags(write=False)
-            self._patterns[order] = order, indices, indptr, term, roots
-        return self._patterns[order]
+            self._patterns[pairs] = order, indices, indptr, term, roots
+        return self._patterns[pairs]
 
     def _bilinear(self, terms, row: int | None = None) -> BilinearOperator:
         """The sum of coeff * tau_rs over (coeff, r, s) terms, all with r == s
@@ -523,7 +521,7 @@ class FockSpace:
         tau_rs is a_r^+ a_s, which keeps the total, so the entries equal
         those of the untruncated operator."""
         coefficients = _coefficient_matrix(terms) if row is None else TETRAD_COEFFICIENTS[row]
-        pairs = {(r - 1, s - 1) for _, r, s in terms}
+        pairs = frozenset((r - 1, s - 1) for _, r, s in terms)
         if all(k == j for k, j in pairs):
             # summed in term order, the same rounding as adding the tau matrices
             op = SparseOperator.from_diagonal(
@@ -694,7 +692,9 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
         raise TruncationTooLossyError(
             f"truncation discards {deficit:.3e} of the state weight, above {MAX_DEFICIT}"
         )
-    coeffs /= math.sqrt(norm_sq)
+    # numpy divides by s + 0j as part * (1/s), so the bits match but for a zero's sign
+    parts = coeffs.view(float)
+    parts *= 1.0 / math.sqrt(norm_sq)
     state = _frozen_state(coeffs)
     space._memo = space._entry(state)
     return state

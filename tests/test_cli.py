@@ -418,14 +418,15 @@ def test_help_screens_are_pinned(capsys, monkeypatch, command):
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
 
 
-def _assert_exit_and_one_json_line(argv):
-    """Exit 0, 1 or 2; stdout one JSON line of argv's command on exit 0, else empty."""
+def _assert_exit_and_one_json_line(argv, printed_on=(0,)):
+    """Exit 0, 1 or 2; stdout one JSON line of argv's command on an exit code
+    in printed_on, else empty."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), err.getvalue()
     line = out.getvalue()
-    if code:
+    if code not in printed_on:
         assert line == ""
     else:
         assert line.count("\n") == 1 and line.endswith("\n")
@@ -466,3 +467,20 @@ UNIT_PAIRS = st.sampled_from([(1.0, 0.0, 0.0, 0.0), (-0.6, -0.0, -0.48, 0.64), (
 def test_fock_exits_0_1_or_2_with_at_most_one_json_line(cutoff, op, pair, phi, scale, matrix):
     mode = ["--matrix"] if matrix else ["--expect-coherent", *map(repr, (*pair, phi, scale))]
     _assert_exit_and_one_json_line(["fock", "--cutoff", str(cutoff), "--op", *op, *mode])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tol=EDGE_FLOATS,
+    samples=st.integers(-2, 3),
+    seed=st.one_of(st.integers(-2, 3), st.integers(0, 2**64)),
+    suite=st.sampled_from(["spinor", "tetrad", "fock", "all"]),
+    cutoff=st.one_of(st.integers(-2, 6), st.just(68)),
+)
+def test_verify_exits_0_1_or_2_with_at_most_one_json_line(tol, samples, seed, suite, cutoff):
+    # a failed record still prints the report, so exit 1 prints one line too
+    _assert_exit_and_one_json_line(
+        ["verify", f"--tol={tol!r}", f"--samples={samples}", f"--seed={seed}",
+         f"--suite={suite}", f"--cutoff={cutoff}"],
+        printed_on=(0, 1),
+    )

@@ -790,6 +790,26 @@ def test_coherent_state_refuses_or_keeps_a_frozen_finite_state(cutoff, amps, sca
     assert np.array(values).tobytes() == np.array(kept[2]).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    cutoff=st.sampled_from([0, 1, 4, 6]),
+    parts=st.lists(st.sampled_from([0.0, -0.0, 0.3, -0.45]), min_size=8, max_size=8),
+    scale=st.sampled_from([0.0, 0.05, 0.3]),
+)
+def test_the_sign_of_a_zero_amplitude_part_moves_no_tetrad_value(cutoff, parts, scale):
+    amps = BispinorAmplitudes(*(complex(re, im) for re, im in zip(parts[::2], parts[1::2])))
+    space = FockSpace(cutoff)
+    try:
+        state = coherent_state(space, amps, scale)
+    except TruncationTooLossyError:
+        return
+    # + 0.0 turns every -0.0 part into +0.0 and changes nothing else
+    signless = state + 0.0
+    values = np.array(tetrad_expectations(space, state))
+    assert values.tobytes() == np.array(tetrad_expectations(space, signless)).tobytes()
+    assert space.moments(state).tobytes() == space.moments(signless).tobytes()
+
+
 # coherent scales whose truncation deficit stays below MAX_DEFICIT; at
 # cutoff 20 the lowered vectors span three blocks of fock._MOMENT_BLOCK
 MOMENT_CUTOFF_SCALES = {0: 1e-5, 1: 1e-4, 2: 0.01, 4: 0.1, 12: 0.5, 20: 0.5}
