@@ -10,12 +10,14 @@ operator.
 
 Exit codes: 0 success, 1 verification or physics failure, 2 usage error,
 141 (128 + SIGPIPE) when the reader closes stdout before all of it is
-written; that case writes nothing to stderr.
+written; that case writes nothing to stderr.  A refused value's message
+names its flag ("error: --cutoff: ...").
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -81,17 +83,32 @@ def _complex_vector(vec) -> list:
     return [_pair(z) for z in vec]
 
 
+@contextlib.contextmanager
+def _flag(name):
+    """Name the flag whose value a ValueError raised inside refuses: its
+    message gains the prefix "name: "."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+
+
 def _element_from_args(args):
     from . import spinor
 
     if args.quat is not None:
         if args.a is not None or args.b is not None:
             raise ValueError("give either --quat or the pair --a/--b, not both")
-        q = spinor.QuaternionPoint(*args.quat)
-        return spinor.from_quaternion(q, args.phi)
+        with _flag("--quat"):
+            q = spinor.QuaternionPoint(*args.quat)
+        with _flag("--phi"):
+            return spinor.from_quaternion(q, args.phi)
     if args.a is None or args.b is None:
         raise ValueError("need --quat W X Y Z or both --a RE IM and --b RE IM")
-    return spinor.GroupElement(complex(*args.a), complex(*args.b), args.phi)
+    # GroupElement checks the phase before the pair
+    with _flag("--a/--b" if math.isfinite(args.phi) else "--phi"):
+        return spinor.GroupElement(complex(*args.a), complex(*args.b), args.phi)
 
 
 def _cmd_tetrad(args) -> int:
@@ -130,13 +147,20 @@ def _cmd_tetrad(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_verification
 
-    report = run_verification(
-        suite=args.suite,
-        samples=args.samples,
-        seed=args.seed,
-        tol=args.tol,
-        cutoff=args.cutoff,
-    )
+    try:
+        report = run_verification(
+            suite=args.suite,
+            samples=args.samples,
+            seed=args.seed,
+            tol=args.tol,
+            cutoff=args.cutoff,
+        )
+    except ValueError as exc:
+        # each refusal opens with the name of the argument, which its flag shares
+        name = str(exc).split(" ", 1)[0]
+        if name in ("suite", "samples", "tol", "cutoff"):
+            exc.args = (f"--{name}: {exc}",)
+        raise
     print(dumps17(report))
     if not report["pass"]:
         failed = [r["name"] for r in report["records"] if not r["pass"]]
@@ -193,8 +217,10 @@ def _classical_expectation(op_spec, g, scale):
 def _cmd_fock(args) -> int:
     from . import fock, spinor
 
-    op_spec = _parse_op(args.op)
-    space = fock.FockSpace(args.cutoff)
+    with _flag("--op"):
+        op_spec = _parse_op(args.op)
+    with _flag("--cutoff"):
+        space = fock.FockSpace(args.cutoff)
     doc = {
         "command": "fock",
         "cutoff": space.cutoff,
@@ -211,10 +237,10 @@ def _cmd_fock(args) -> int:
         ]
     else:
         a_re, a_im, b_re, b_im, phi, scale = args.expect_coherent
-        g = spinor.GroupElement(complex(a_re, a_im), complex(b_re, b_im), phi)
-        amps = fock.BispinorAmplitudes.from_element(g)
         try:
-            state = fock.coherent_state(space, amps, scale)
+            with _flag("--expect-coherent"):
+                g = spinor.GroupElement(complex(a_re, a_im), complex(b_re, b_im), phi)
+                state = fock.coherent_state(space, fock.BispinorAmplitudes.from_element(g), scale)
         except fock.TruncationTooLossyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -237,8 +263,10 @@ def _cmd_fock(args) -> int:
 def _cmd_cosmos(args) -> int:
     from . import cosmos
 
-    model = cosmos.ExpansionModel(args.r0, args.c)
-    radius = cosmos.radius_at(model, args.epoch)
+    with _flag("--r0/--c"):
+        model = cosmos.ExpansionModel(args.r0, args.c)
+    with _flag("--epoch"):
+        radius = cosmos.radius_at(model, args.epoch)
     doc = {
         "command": "cosmos",
         "r0": model.r0,

@@ -20,11 +20,11 @@ tau_rs combination is linear in the 16 moments <tau_rs> of the state
 tetrad components are the rows of one (10, 4, 4) tensor
 TETRAD_COEFFICIENTS, so all ten values of a state come from one
 contraction with its moments (tetrad_expectations).  A FockSpace owns
-one lowering table, a_r |m + e_r> = sqrt(m_r + 1) |m>, which its ladder
-operators, its bilinears' patterns and its moments all read.  It keeps the
-moments and ten values of the last state coherent_state made for it, from
-when it is made; every other state's are computed and not kept.  Its
-bilinear operators hold the space itself.
+one lowering table, a_r |m + e_r> = sqrt(m_r + 1) |m>, ranked in closed
+form from the basis order, which its ladder operators, its bilinears'
+patterns and its moments read; of a build it keeps only each pattern's
+indices and indptr.  It keeps the moments and ten values of the last
+state coherent_state made for it, and its bilinear operators hold it.
 
 scipy is imported on the first operator build; the basis, coherent states,
 moments and the bilinear CSR patterns need only numpy.
@@ -133,7 +133,8 @@ class SparseOperator:
             raise (ValueError if values.ndim else TypeError)("a diagonal must be 1-D")
         nonzero = values != 0
         indptr = np.zeros(len(values) + 1, dtype=np.int32)
-        np.cumsum(nonzero, out=indptr[1:])
+        indptr[1:] = nonzero
+        indptr.cumsum(out=indptr)
         data = (values[nonzero], np.flatnonzero(nonzero).astype(np.int32), indptr)
         return _own(sparse.csr_array(data, shape=(len(values),) * 2))
 
@@ -277,14 +278,16 @@ def _occupations(cutoff: int) -> np.ndarray:
 
     Within shell t, n4 = t - n1 - n2 - n3 is fixed by the rest, so the shell
     is the lexicographic (n1, n2, n3) with sum <= t, each completed by n4.
-    One row-major nonzero over (shell, triple) lists every shell in turn.
+    One row-major nonzero over (shell, triple) lists every shell in turn, in
+    four contiguous per-mode columns that the rows view.
     """
-    grid = np.indices((cutoff + 1,) * 3, dtype=np.int64).reshape(3, -1).T
-    sums = grid.sum(axis=1)
+    triples = np.indices((cutoff + 1,) * 3, dtype=np.int64).reshape(3, -1)
+    sums = triples[0] + triples[1] + triples[2]
     keep = sums <= cutoff
-    triples, sums = grid[keep], sums[keep]
-    shell, which = np.nonzero(sums <= np.arange(cutoff + 1)[:, None])
-    return np.column_stack((triples[which], shell - sums[which]))
+    # compress and take, not fancy indexing, keep each column contiguous
+    triples, sums = triples.compress(keep, axis=1), sums[keep]
+    shell, which = np.divmod(np.flatnonzero(sums <= np.arange(cutoff + 1)[:, None]), len(sums))
+    return np.vstack((triples.take(which, axis=1), shell - sums[which])).T
 
 
 # C(n, k) for k <= 4 and n <= T + 4 <= 71: MAX_STATES caps the cutoff at 67
@@ -303,11 +306,9 @@ def _rank(occ) -> np.ndarray:
     _BINOMIAL, so rows must lie in an admitted basis; nothing checks that.
     """
     n1, n2, n3, n4 = np.asarray(occ, dtype=np.int64).T
-    # summed by column: numpy reduces a short last axis slowly
-    total = n1 + n2 + n3 + n4
-    rest = total - n1
+    rest = n2 + n3 + n4
     return (
-        _BINOMIAL[total + 4, 4]
+        _BINOMIAL[rest + n1 + 4, 4]
         - _BINOMIAL[rest + 3, 3]
         + _BINOMIAL[rest + 2, 2]
         - _BINOMIAL[rest - n2 + 2, 2]
@@ -354,7 +355,7 @@ class FockSpace:
         self.dimension = dimension
         self.occupations = _occupations(cutoff)
         self.occupations.setflags(write=False)
-        # CSR patterns of sums of a_k^+ a_j by their pairs, filled by _pattern
+        # (order, indices, indptr) of sums of a_k^+ a_j by their pairs, from _pattern
         self._patterns = {}
         # (positions, weights), filled by _lowering
         self._lowered = None
@@ -370,14 +371,19 @@ class FockSpace:
         """Read-only (positions, weights), each (4, D'):
         (a_r psi)[m] = weights[r-1, m] * psi[positions[r-1, m]], where
         positions[k, m] is the rank of m + e_k and weights[k, m] is
-        sqrt(m_k + 1).  m runs over the basis of cutoff - 1, which is the
-        first D' rows of the basis."""
+        sqrt(m_k + 1).  m runs over the basis of cutoff - 1, the first D'
+        rows of the basis, so the ranks follow from m's own rank i and two
+        per-shell offsets: with total T and R = T - n1 (see _rank), m + e1
+        is at i + C(T+4, 3) and, with s = i + C(T+4, 3) - C(R+3, 2), m + e2
+        at s + R + 2, m + e3 at s + n2 + 1 and m + e4 at s + n2."""
         if self._lowered is None:
-            below = self.occupations[: math.comb(self.cutoff - 1 + N_MODES, N_MODES)]
+            n1, n2, n3, n4 = below = self.occupations[: math.comb(self.cutoff - 1 + N_MODES, N_MODES)].T
+            rest = n2 + n3 + n4
+            up = np.arange(len(n1)) + _BINOMIAL[rest + n1 + 4, 3]
+            s = up - _BINOMIAL[rest + 3, 2]
             # MAX_STATES < 2**31, so the positions fit int32
-            unit = np.eye(N_MODES, dtype=np.int64)
-            positions = np.array([_rank(below + e) for e in unit], dtype=np.int32)
-            weights = np.sqrt(below.T + 1.0, order="C")
+            positions = np.array((up, s + rest + 2, s + n2 + 1, s + n2), dtype=np.int32)
+            weights = np.sqrt(below + 1.0)
             positions.setflags(write=False)
             weights.setflags(write=False)
             self._lowered = positions, weights
@@ -479,64 +485,67 @@ class FockSpace:
         return self._coherent
 
     def _pattern(self, pairs):
-        """The canonical CSR pattern of the sum of a_k^+ a_j over a frozenset
-        of (k, j) pairs (0-based, k != j), kept per space under that set: the
-        pairs in column order, read-only int64 indices and indptr, and each
-        entry's pair and value.
+        """One pass over the basis for the sums of a_k^+ a_j over a frozenset
+        of (k, j) pairs (0-based, k != j): the pairs in column order, the
+        canonical CSR pattern (read-only int64 indices and indptr) and each
+        entry's pair and value.  The space keeps the first three under the
+        set, for the operators to share; the per-entry scratch it does not.
 
         a_k^+ a_j |p + e_j> = sqrt(p_k + 1) sqrt(p_j + 1) |p + e_k> for p on
-        the basis of cutoff - 1, so the entries come from the lowering
-        table.  A move keeps the shell, where the basis is
-        lexicographic in (n1, n2, n3), so every row holds the terms'
-        columns in the order of (e_j - e_k)[:3] and nothing is sorted.
+        the basis of cutoff - 1, so the entries come from the lowering table.
+        A move keeps the shell, where the basis is lexicographic in
+        (n1, n2, n3), so every row holds the terms' columns in the order of
+        (e_j - e_k)[:3] and nothing is sorted.
         """
-        if pairs not in self._patterns:
-            order = tuple(sorted(pairs, key=lambda kj: [(m == kj[1]) - (m == kj[0]) for m in range(3)]))
-            positions, weights = self._lowering()
-            # row n holds an entry of a_k^+ a_j when n_k > 0
-            present = self.occupations[:, [k for k, _ in order]] > 0
-            indptr = np.zeros(self.dimension + 1, dtype=np.int64)
-            np.cumsum(present.sum(axis=1), out=indptr[1:])
-            # each row's place for the next term
-            place = indptr[:-1].copy()
-            indices = np.empty(indptr[-1], dtype=np.int64)
-            term = np.empty(indptr[-1], dtype=np.int8)
-            roots = np.empty(indptr[-1])
-            for t, (k, j) in enumerate(order):
-                dest = place[positions[k]]
-                place += present[:, t]
-                indices[dest] = positions[j]
-                term[dest] = t
-                # two roots, not one, as in the product of the ladder matrices
-                roots[dest] = weights[k] * weights[j]
-            for array in (indices, indptr):
-                array.setflags(write=False)
-            self._patterns[pairs] = order, indices, indptr, term, roots
-        return self._patterns[pairs]
+        order = tuple(sorted(pairs, key=lambda kj: [(m == kj[1]) - (m == kj[0]) for m in range(3)]))
+        positions, weights = self._lowering()
+        # row n holds an entry of a_k^+ a_j when n_k > 0
+        present = [self.occupations[:, k] > 0 for k, _ in order]
+        indptr = np.zeros(self.dimension + 1, dtype=np.int64)
+        np.cumsum(sum(p.view(np.int8) for p in present), out=indptr[1:])
+        # each row's place for the next term
+        place = indptr[:-1].copy()
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        term = np.empty(indptr[-1], dtype=np.int8)
+        roots = np.empty(indptr[-1])
+        for t, ((k, j), p) in enumerate(zip(order, present)):
+            dest = place[positions[k]]
+            place += p
+            indices[dest] = positions[j]
+            term[dest] = t
+            # two roots, not one, as in the product of the ladder matrices
+            roots[dest] = weights[k] * weights[j]
+        for array in (indices, indptr):
+            array.setflags(write=False)
+        return (*self._patterns.setdefault(pairs, (order, indices, indptr)), term, roots)
 
-    def _bilinear(self, terms, row: int | None = None) -> BilinearOperator:
-        """The sum of coeff * tau_rs over (coeff, r, s) terms, all with r == s
-        or all with r != s; row is the terms' row of TETRAD_COEFFICIENTS
-        when they are a tetrad component.  tau_rr is n_r + 1/2; for r != s,
-        tau_rs is a_r^+ a_s, which keeps the total, so the entries equal
-        those of the untruncated operator."""
-        coefficients = _coefficient_matrix(terms) if row is None else TETRAD_COEFFICIENTS[row]
-        pairs = frozenset((r - 1, s - 1) for _, r, s in terms)
+    def _bilinears(self, members) -> list:
+        """Per (terms, row) member, the sum of coeff * tau_rs over its (coeff, r, s)
+        terms, row its row of TETRAD_COEFFICIENTS or None.  The members share
+        one set of (r, s) pairs, all with r == s or all with r != s, which one
+        pass over the basis builds.  tau_rr is n_r + 1/2; for r != s, tau_rs
+        is a_r^+ a_s, which keeps the total, as the untruncated operator."""
+        coefficients = [_coefficient_matrix(t) if row is None else TETRAD_COEFFICIENTS[row] for t, row in members]
+        pairs = frozenset((r - 1, s - 1) for _, r, s in members[0][0])
         if all(k == j for k, j in pairs):
-            # summed in term order, the same rounding as adding the tau matrices
-            op = SparseOperator.from_diagonal(
-                sum(complex(coeff) * (self.occupations[:, r - 1] + 0.5) for coeff, r, _ in terms)
-            )
+            shifted, ops = {r: self.occupations[:, r - 1] + 0.5 for _, r, _ in members[0][0]}, []
+            for terms, _ in members:
+                # in term order, as the tau matrices add; real unless a coefficient is not
+                real = not any(complex(c).imag for c, _, _ in terms)
+                values = sum((complex(c).real if real else complex(c)) * shifted[r] for c, r, _ in terms)
+                ops.append(SparseOperator.from_diagonal(values))
         elif self.cutoff == 0:  # no quantum moves; int32 like the ladder products
-            op = SparseOperator.zero(self.dimension)
+            ops = [SparseOperator.zero(self.dimension) for _ in members]
         else:
             from scipy import sparse
 
             order, indices, indptr, term, roots = self._pattern(pairs)
-            data = np.take([coefficients[kj] for kj in order], term) * roots
-            shape = (self.dimension, self.dimension)
-            op = _own(sparse.csr_array((data, indices, indptr), shape=shape))
-        return BilinearOperator(op, self, coefficients, row)
+            ops = []
+            for c in coefficients:
+                data = np.take([c[kj] for kj in order], term)
+                data *= roots
+                ops.append(_own(sparse.csr_array((data, indices, indptr), shape=(self.dimension,) * 2)))
+        return [BilinearOperator(op, self, c, row) for op, c, (_, row) in zip(ops, coefficients, members)]
 
     def moments(self, state) -> np.ndarray:
         """Read-only (4, 4) moments M[r-1, s-1] = <state| tau_rs |state>,
@@ -556,7 +565,7 @@ class FockSpace:
         shell, so it equals the projection of the untruncated operator;
         its entries are written out directly from the occupations.
         """
-        return self._bilinear(((1.0, r, s),))
+        return self._bilinears([(((1.0, r, s),), None)])[0]
 
 
 @dataclass(frozen=True)
@@ -599,6 +608,9 @@ TETRAD_BILINEARS = {
 TETRAD_COEFFICIENTS = np.array([_coefficient_matrix(terms) for terms in TETRAD_BILINEARS.values()])
 TETRAD_COEFFICIENTS.setflags(write=False)
 _TETRAD_ROWS = {name: row for row, name in enumerate(TETRAD_BILINEARS)}
+# The mode-pair classes, {t0, z3}, {z1, z2}, {x1, x2, y1, y2} and {x3, y3}
+_PAIRS = {name: frozenset((r, s) for _, r, s in terms) for name, terms in TETRAD_BILINEARS.items()}
+_TETRAD_CLASSES = [[name for name in _PAIRS if _PAIRS[name] == pairs] for pairs in dict.fromkeys(_PAIRS.values())]
 
 
 def _tetrad_values(moments: np.ndarray) -> tuple:
@@ -613,7 +625,7 @@ def tetrad_component(space: FockSpace, name: str) -> BilinearOperator:
         row = _TETRAD_ROWS[name]
     except KeyError:
         raise ValueError(f"unknown tetrad component {name!r}") from None
-    return space._bilinear(TETRAD_BILINEARS[name], row)
+    return space._bilinears([(TETRAD_BILINEARS[name], row)])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,9 +649,12 @@ class OperatorTetrad:
 
 
 def operator_tetrad(space: FockSpace) -> OperatorTetrad:
-    """Quantized tetrad: t_hat = (n_hat, 0, 0, 0) plus the spatial combinations."""
+    """Quantized tetrad: t_hat = (n_hat, 0, 0, 0) plus the spatial combinations.
+    One pass builds each mode-pair class; its scratch goes before the next."""
     zero = SparseOperator.zero(space.dimension)
-    comp = {name: tetrad_component(space, name) for name in TETRAD_BILINEARS}
+    comp = {}
+    for names in _TETRAD_CLASSES:
+        comp.update(zip(names, space._bilinears([(TETRAD_BILINEARS[n], _TETRAD_ROWS[n]) for n in names])))
     return OperatorTetrad(
         t_hat=(comp["t0"], zero, zero, zero),
         z_hat=(zero, comp["z1"], comp["z2"], comp["z3"]),

@@ -66,7 +66,7 @@ def test_tetrad_nonunit_exit2(capsys):
     code, out, err = run_cli(capsys, "tetrad", "--a", "1", "0", "--b", "1", "0", "--null")
     assert code == 2
     assert out == ""
-    assert "not 1" in err
+    assert err.startswith("error: --a/--b: ") and "not 1" in err
 
 
 @pytest.mark.parametrize(
@@ -86,14 +86,16 @@ def test_tetrad_nonfinite_exit2(capsys, argv):
     code, out, err = run_cli(capsys, "tetrad", *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")  # refused by the input checks, not by argparse
+    # refused by the input checks, not by argparse, naming the flag
+    flag = "--phi" if "--phi" in argv else {"--quat": "--quat", "--a": "--a/--b"}[argv[0]]
+    assert err.startswith(f"error: {flag}: ")
 
 
 @pytest.mark.parametrize("pair", [("1.5e154", "0"), ("1e200", "1e200"), ("1.7e308", "1.7e308")])
 def test_tetrad_pair_whose_square_overflows_exit2(capsys, pair):
     code, out, err = run_cli(capsys, "tetrad", "--a", *pair, "--b", "0", "0", "--real")
     assert (code, out) == (2, "")
-    assert "is not 1" in err
+    assert err.startswith("error: --a/--b: ") and "is not 1" in err
 
 
 # each exponent-form negative against the plain spelling argparse always took
@@ -121,6 +123,7 @@ def test_tetrad_quat_exits_0_or_2_with_at_most_one_json_line(quat, frame):
     assert code in (0, 2), err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: --quat: ")
     else:
         line = out.getvalue()
         assert line.count("\n") == 1 and line.endswith("\n")
@@ -180,7 +183,7 @@ def test_verify_bad_input_exit2(capsys, argv):
     code, out, err = run_cli(capsys, "verify", "--samples", "5", *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {argv[-2]}: ")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
@@ -234,7 +237,7 @@ def test_fock_expect_coherent_tau_diagonal(capsys):
 
 def test_fock_bad_operator_exit2(capsys):
     code, _, err = run_cli(capsys, "fock", "--cutoff", "1", "--op", "q7", "--matrix")
-    assert code == 2 and "unknown operator" in err
+    assert code == 2 and err.startswith("error: --op: unknown operator")
     code, _, _ = run_cli(capsys, "fock", "--cutoff", "1", "--op", "tau", "1", "--matrix")
     assert code == 2
     code, _, _ = run_cli(capsys, "fock", "--cutoff", "1", "--op", "tau", "1", "9", "--matrix")
@@ -249,7 +252,7 @@ def test_fock_nonfinite_scale_exit2(capsys, scale):
     )
     assert code == 2
     assert out == ""
-    assert "not finite" in err
+    assert err.startswith("error: --expect-coherent: ") and "not finite" in err
 
 
 def test_fock_truncation_exit1(capsys):
@@ -258,7 +261,7 @@ def test_fock_truncation_exit1(capsys):
         "--expect-coherent", "1", "0", "0", "0", "0", "2.0",
     )
     assert code == 1
-    assert "truncation" in err.lower()
+    assert err.startswith("error: --expect-coherent: truncation")
 
 
 @pytest.mark.parametrize("scale", ["1e100", "1e200"])
@@ -269,7 +272,7 @@ def test_fock_overflowing_scale_exit1(capsys, scale):
     )
     assert code == 1
     assert out == ""
-    assert "truncation" in err.lower()
+    assert err.startswith("error: --expect-coherent: truncation")
 
 
 @pytest.mark.parametrize("modes, bad", [(("1", "9"), "9"), (("0", "1"), "0")])
@@ -277,7 +280,7 @@ def test_fock_tau_mode_out_of_range_exit2(capsys, modes, bad):
     code, out, err = run_cli(capsys, "fock", "--cutoff", "1", "--op", "tau", *modes, "--matrix")
     assert code == 2
     assert out == ""
-    assert f"mode index {bad} outside 1..4" in err
+    assert err.startswith(f"error: --op: mode index {bad} outside 1..4")
 
 
 def test_fock_tau_mode_refused_before_the_basis(capsys, monkeypatch):
@@ -288,7 +291,7 @@ def test_fock_tau_mode_refused_before_the_basis(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "fock", "--cutoff", "67", "--op", "tau", "1", "9", "--matrix")
     assert code == 2
     assert out == ""
-    assert "mode index 9 outside 1..4" in err
+    assert err.startswith("error: --op: mode index 9 outside 1..4")
 
 
 def test_fock_overflow_message_names_the_amplitudes(capsys):
@@ -298,7 +301,38 @@ def test_fock_overflow_message_names_the_amplitudes(capsys):
     )
     assert code == 1
     assert out == ""
-    assert "truncation deficit is nan: the coherent amplitudes overflowed or are not finite" in err
+    assert err == (
+        "error: --expect-coherent: truncation deficit is nan: "
+        "the coherent amplitudes overflowed or are not finite\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fock", "--cutoff", "68", "--op", "z1", "--matrix"),
+        ("fock", "--cutoff", "68", "--op", "t0", "--expect-coherent", "1", "0", "0", "0", "0", "1"),
+        ("verify", "--suite", "fock", "--samples", "1", "--cutoff", "68"),
+    ],
+)
+def test_cutoff_above_the_bound_names_the_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --cutoff: cutoff 68 gives 1028790 states, above the bound 1000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("--quat", "1", "1", "0", "0", "--real"), "error: --quat: w^2 + x^2 + y^2 + z^2 = 2.0 is not 1"),
+        (("--a", "1", "0", "--b", "1", "0", "--phi", "nan", "--null"), "error: --phi: phase phi = nan is not finite"),
+        (("--quat", "1", "0", "0", "0", "--phi", "inf", "--null"), "error: --phi: phase phi = inf is not finite"),
+    ],
+)
+def test_tetrad_refusals_name_the_flag(capsys, argv, want):
+    code, out, err = run_cli(capsys, "tetrad", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(want)
 
 
 def test_cosmos_example(capsys):
@@ -334,7 +368,8 @@ def test_cosmos_nonfinite_exit2(capsys, argv):
     code, out, err = run_cli(capsys, "cosmos", *argv)
     assert code == 2
     assert out == ""
-    assert "finite" in err
+    flag = "--epoch" if argv[5] in ("nan", "inf", "-inf") else "--r0/--c"
+    assert err.startswith(f"error: {flag}: ") and "finite" in err
 
 
 def test_module_entry_point(child_env):

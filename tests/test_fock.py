@@ -242,19 +242,20 @@ def test_operator_tetrad_structure():
 
 
 def test_operator_tetrad_ranks_the_lowering_table_once(monkeypatch):
-    calls = []
+    lowering, misses = fock.FockSpace._lowering, []
 
-    def counted_rank(occ):
-        calls.append(len(occ))
-        return _rank(occ)
+    def counted_lowering(self):
+        misses.append(self._lowered is None)
+        return lowering(self)
 
-    monkeypatch.setattr(fock, "_rank", counted_rank)
+    monkeypatch.setattr(fock.FockSpace, "_lowering", counted_lowering)
     space = FockSpace(4)
     first = operator_tetrad(space)
     second = operator_tetrad(space)
     space.moments(np.ones(space.dimension, dtype=complex))
-    # one rank per mode, on the basis of cutoff - 1, shared by builds and moments
-    assert calls == [math.comb(3 + 4, 4)] * 4
+    # one lowering table per space, computed at the first miss and read by
+    # every later build and by the moments
+    assert misses[0] and not any(misses[1:]) and len(misses) > 2
     for (_, a), (_, b) in zip(first.components(), second.components()):
         for part in ("data", "indices", "indptr"):
             assert getattr(a.matrix, part).tobytes() == getattr(b.matrix, part).tobytes()
@@ -289,6 +290,69 @@ def test_components_of_one_mode_pair_class_share_their_pattern():
                 part[0] = 0
     owners = {id(_owner(comp[names[0]].matrix.indices)) for names in classes}
     assert len(owners) == 3
+
+
+@pytest.mark.parametrize("cutoff", [1, 6, 30])
+def test_a_component_built_alone_matches_its_class(cutoff):
+    space = FockSpace(cutoff)
+    comp = dict(operator_tetrad(space).components())
+    for label, name in (("z2", "z2"), ("y1", "y1"), ("y3", "y3")):
+        alone, built = tetrad_component(space, name).matrix, comp[label].matrix
+        for part in ("data", "indices", "indptr"):
+            assert getattr(alone, part).tobytes() == getattr(built, part).tobytes(), (name, part)
+        assert _owner(alone.indices) is _owner(built.indices)
+        assert _owner(alone.indptr) is _owner(built.indptr)
+    first, again = space.tau(1, 2).matrix, space.tau(1, 2).matrix
+    for part in ("data", "indices", "indptr"):
+        assert getattr(first, part).tobytes() == getattr(again, part).tobytes(), part
+    assert _owner(again.indices) is _owner(first.indices)
+    assert _owner(again.indptr) is _owner(first.indptr)
+
+
+def test_a_built_space_keeps_no_per_entry_scratch():
+    space = FockSpace(30)
+    operator_tetrad(space)
+    assert len(space._patterns) == 3
+    kept = [space.occupations, *space._lowering()]
+    for order, indices, indptr in space._patterns.values():
+        assert indices.dtype == indptr.dtype == np.int64
+        assert not indices.flags.writeable and not indptr.flags.writeable
+        assert len(order) == 4 and indices.size == indptr[-1] == 4 * space._lowering()[0].shape[1]
+        kept += [indices, indptr]
+    # every array the space holds is the basis, the lowering table or a pattern
+    held = [
+        array
+        for value in vars(space).values()
+        for array in (value.values() if isinstance(value, dict) else [value])
+        for array in (array if isinstance(array, tuple) else [array])
+        if isinstance(array, np.ndarray)
+    ]
+    assert sorted(map(id, held)) == sorted(map(id, kept))
+
+
+def test_a_diagonal_term_with_an_imaginary_coefficient_is_kept():
+    space = FockSpace(4)
+    for terms in (((0.5j, 1, 1), (0.25, 2, 2), (-1.5 + 0.5j, 4, 4)), ((1j, 3, 3),), ((2.0, 2, 2), (-0.5j, 2, 2))):
+        op = space._bilinears([(terms, None)])[0]
+        want = SparseOperator.from_diagonal(
+            sum(complex(c) * (space.occupations[:, r - 1] + 0.5) for c, r, _ in terms)
+        ).matrix
+        for part in ("data", "indices", "indptr"):
+            assert getattr(op.matrix, part).tobytes() == getattr(want, part).tobytes(), (terms, part)
+        assert op.diagonal().imag.any()
+
+
+@pytest.mark.parametrize("cutoff", [31, 45, 67])
+def test_lowering_table_matches_the_rank_beyond_the_pins(cutoff):
+    space = FockSpace(cutoff)
+    positions, weights = space._lowering()
+    below = space.occupations[: math.comb(cutoff - 1 + 4, 4)]
+    assert positions.dtype == np.int32 and weights.shape == positions.shape == (4, len(below))
+    for k in range(4):
+        raised = below.copy()
+        raised[:, k] += 1
+        np.testing.assert_array_equal(positions[k], _rank(raised))
+        assert weights[k].tobytes() == np.sqrt(below[:, k] + 1.0).tobytes()
 
 
 def test_operator_matrix_wraps_again():
@@ -709,6 +773,16 @@ def test_basis_and_lowering_table_pinned():
         space = FockSpace(cutoff)
         _digest_parts(digest, space.occupations, *space._lowering())
     assert digest.hexdigest() == BASIS_SHA256
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 4, 30])
+def test_basis_columns_and_tables_are_contiguous(cutoff):
+    # the pins hash tobytes(), which is blind to the memory layout; the
+    # builds read one column per mode and the moments read lowering rows
+    space = FockSpace(cutoff)
+    assert space.occupations.T.flags.c_contiguous
+    for array in (*space._lowering(), *space._coherent_tables()):
+        assert array.flags.c_contiguous
 
 
 def test_from_diagonal_edges():
