@@ -158,12 +158,15 @@ def test_run_verification_rejects_bad_input(flag, value):
 # hand-written sweeps and re-recorded when expectations of the bilinears
 # moved to the moment matrix, which changed the last bits of
 # coherent_phase_covariance alone; a refactor that keeps the draw order and
-# the summation order keeps these bytes
+# the summation order keeps these bytes.  The tetrad entry is the README's
+# example, recorded before the tetrad suite moved to stacked calls.
 STDOUT_PINS = {
     ("--samples", "50", "--seed", "3", "--cutoff", "2"):
         "3a417c5d374aee6918c5357fa3961277d8b4e4c9fc25b14a1ae40304e347f97b",
     ("--suite", "fock", "--samples", "30", "--seed", "11", "--cutoff", "6"):
         "4db390b18989d066cf1a8c926ef90886a147f818901965fee05828e0efc67342",
+    ("--suite", "tetrad", "--samples", "1000", "--seed", "7"):
+        "4c4d189fea77ebff4b2d640061b9c98618091ed4a8c3ad8534f7550ca533f5a5",
 }
 
 
