@@ -158,7 +158,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         # each refusal opens with the name of the argument, which its flag shares
         name = str(exc).split(" ", 1)[0]
-        if name in ("suite", "samples", "tol", "cutoff"):
+        if name in ("suite", "samples", "seed", "tol", "cutoff"):
             exc.args = (f"--{name}: {exc}",)
         raise
     print(dumps17(report))

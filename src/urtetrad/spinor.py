@@ -141,6 +141,9 @@ class QuaternionPoint:
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.as_array(), dtype=dtype)
+
     def __neg__(self) -> "QuaternionPoint":
         return QuaternionPoint(-self.w, -self.x, -self.y, -self.z)
 

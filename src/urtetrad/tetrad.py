@@ -16,6 +16,9 @@ Under these choices the bilinears of a dyad reproduce the Minkowski
 metric exactly, and the real combinations match the explicit quaternion
 polynomials implemented in real_tetrad_polynomials, which serves as the
 independent oracle for the bilinear route.
+
+Each function has one body for one point or a stack: 4-vectors are (..., 4)
+arrays, and a stacked call equals its per-point calls bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinor import Dyad, QuaternionPoint
+from .spinor import Dyad
 
 __all__ = [
     "SIGMA",
@@ -120,12 +123,12 @@ class RealTetrad:
         return (self.t, self.z, self.x, self.y)
 
     def dreibein(self) -> np.ndarray:
-        """Spatial 3x3 block, rows (x, y, z) spatial parts.
+        """Spatial 3x3 block, rows (x, y, z) spatial parts; (..., 3, 3) for a stack.
 
         For dyad-built frames this is a proper rotation, and it is even in
         the quaternion (the SU(2) -> SO(3) double cover).
         """
-        return np.array([self.x[1:], self.y[1:], self.z[1:]])
+        return np.stack([self.x[..., 1:], self.y[..., 1:], self.z[..., 1:]], axis=-2)
 
 
 def pauli_bilinear(p, q) -> np.ndarray:
@@ -151,46 +154,60 @@ def null_tetrad(d: Dyad) -> NullTetrad:
     defect = d.max_defect()
     if not defect <= DYAD_GATE:
         raise DyadInvalidError(f"dyad contraction defect {defect:.3e} exceeds {DYAD_GATE}")
-    u = d.u.components()
-    v = d.v.components()
-    vecs = pauli_bilinear([v, u, v, u], [u, v, v, u])
+    return _null_tetrad(d.u.components(), d.v.components())
+
+
+def _null_tetrad(u, v) -> NullTetrad:
+    """null_tetrad of the spinor stacks u and v, shape (..., 2), ungated."""
+    vecs = pauli_bilinear(np.stack([v, u, v, u], axis=-2), np.stack([u, v, v, u], axis=-2))
     vecs.setflags(write=False)
-    return NullTetrad(*vecs)
+    return NullTetrad(*np.moveaxis(vecs, -2, 0))
 
 
-def minkowski_inner(p, q) -> complex:
+def minkowski_inner(p, q):
     """eta_{mu nu} p^mu q^nu with eta = diag(-1, 1, 1, 1).
 
     Bilinear, not sesquilinear: no conjugation, so complex null vectors
-    contract to zero with themselves.
+    contract to zero with themselves.  One pair gives a complex, stacks of
+    (..., 4) vectors a complex array.
     """
-    p = np.asarray(p)
-    q = np.asarray(q)
-    return complex(-p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + p[3] * q[3])
+    p, q = np.asarray(p), np.asarray(q)
+    a = p.copy()
+    a[..., 0] = -p[..., 0]
+    # each product is formed by parts, as numpy's scalar complex product
+    # forms it (its array product rounds differently); a real pair keeps the
+    # +0 imaginary part that complex() gives it
+    re = a.real * q.real - a.imag * q.imag
+    out = np.zeros(re.shape[:-1], dtype=complex)
+    out.real = re[..., 0] + re[..., 1] + re[..., 2] + re[..., 3]
+    if np.iscomplexobj(p) or np.iscomplexobj(q):
+        im = a.real * q.imag + a.imag * q.real
+        out.imag = im[..., 0] + im[..., 1] + im[..., 2] + im[..., 3]
+    return complex(out) if out.ndim == 0 else out
 
 
-def _lower(p: np.ndarray) -> np.ndarray:
-    return ETA @ np.asarray(p)
+def _lower(p) -> np.ndarray:
+    return (ETA @ np.asarray(p)[..., None])[..., 0]
 
 
 def reconstruct_metric(nt: NullTetrad) -> np.ndarray:
     """l_mu l*_nu + l*_mu l_nu - m_mu n_nu - n_mu m_nu, indices lowered with eta.
 
     For every valid dyad this reproduces diag(-1, 1, 1, 1) to machine
-    precision; the returned array is complex so callers can inspect the
-    imaginary residue.
+    precision; the returned array, (..., 4, 4) for a stack of tetrads, is
+    complex so callers can inspect the imaginary residue.
     """
-    l, l_star, m, n = (_lower(v) for v in nt.vectors())
-    return np.outer(l, l_star) + np.outer(l_star, l) - np.outer(m, n) - np.outer(n, m)
+    l, l_star, m, n = (_lower(v)[..., None] for v in nt.vectors())  # columns; .mT are rows
+    return l * l_star.mT + l_star * l.mT - m * n.mT - n * m.mT
 
 
 def reconstruct_metric_general(frame, frame_metric) -> np.ndarray:
     """g_{mu nu} = g_(a)(b) t^(a)_mu t^(b)_nu for an arbitrary frame.
 
-    frame is a sequence of four contravariant 4-vectors; they are lowered
-    with eta before contraction.  Raises SingularFrameMetricError when the
-    frame metric is not finite or has no inverse, and ValueError when a
-    frame vector is not finite.
+    frame holds four contravariant 4-vectors, shape (4, ..., 4) for a stack
+    of frames; they are lowered with eta before contraction.  Raises
+    SingularFrameMetricError when the frame metric is not finite or has no
+    inverse, and ValueError when a frame vector is not finite.
     """
     fm = np.asarray(frame_metric, dtype=float)
     if fm.shape != (4, 4):
@@ -200,8 +217,8 @@ def reconstruct_metric_general(frame, frame_metric) -> np.ndarray:
     vectors = np.asarray(frame, dtype=complex)
     if not np.isfinite(vectors).all():
         raise ValueError("frame vectors are not finite")
-    lowered = np.array([_lower(v) for v in vectors])
-    return np.einsum("ab,am,bn->mn", fm, lowered, lowered)
+    lowered = _lower(vectors)
+    return np.einsum("ab,a...m,b...n->...mn", fm, lowered, lowered)
 
 
 def real_tetrad(d: Dyad) -> RealTetrad:
@@ -212,30 +229,46 @@ def real_tetrad(d: Dyad) -> RealTetrad:
     conjugate, so the imaginary parts vanish identically (exactly, in
     floating point) and are dropped.
     """
-    l, l_star, m, n = null_tetrad(d).vectors()
+    return _real_tetrad(null_tetrad(d))
+
+
+def _real_tetrad(nt: NullTetrad) -> RealTetrad:
+    """real_tetrad of a null tetrad or a stack of them, ungated."""
+    l, l_star, m, n = nt.vectors()
     vecs = (np.array([m + n, m - n, l + l_star, 1j * (l - l_star)]) / _SQRT2).real
     vecs.setflags(write=False)
     return RealTetrad(*vecs)
 
 
-def real_tetrad_polynomials(q: QuaternionPoint) -> RealTetrad:
+def _vectors(rows) -> np.ndarray:
+    """Rows of 4-vector components as one read-only (len(rows), ..., 4) array.
+
+    Each vector is contiguous, as a single point's is, so that a BLAS product
+    of a stack rounds as the per-point products do."""
+    vecs = np.ascontiguousarray(np.moveaxis(np.array(rows), 1, -1))
+    vecs.setflags(write=False)
+    return vecs
+
+
+def real_tetrad_polynomials(q) -> RealTetrad:
     """The same real tetrad evaluated as explicit quaternion polynomials.
 
     Kept free of any spinor algebra on purpose: this is the independent
     oracle against which real_tetrad is verified.  All entries are
-    quadratic in (w, x, y, z), so q and -q give identical frames.
+    quadratic in (w, x, y, z), so q and -q give identical frames.  q is a
+    QuaternionPoint or a (..., 4) array of (w, x, y, z).
     """
-    w, x, y, z = q.w, q.x, q.y, q.z
-    t = np.array([1.0, 0.0, 0.0, 0.0])
-    zv = np.array([0.0, 2 * (w * y - x * z), -2 * (w * x + y * z), x * x + y * y - w * w - z * z])
-    xv = np.array([0.0, x * x - y * y + w * w - z * z, 2 * (x * y - w * z), 2 * (w * y + x * z)])
-    yv = np.array([0.0, -2 * (x * y + w * z), x * x - y * y - w * w + z * z, 2 * (w * x - y * z)])
-    for vec in (t, zv, xv, yv):
-        vec.setflags(write=False)
-    return RealTetrad(t, zv, xv, yv)
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    zero = np.zeros_like(w)
+    return RealTetrad(*_vectors([
+        [zero + 1.0, zero, zero, zero],
+        [zero, 2 * (w * y - x * z), -2 * (w * x + y * z), x * x + y * y - w * w - z * z],
+        [zero, x * x - y * y + w * w - z * z, 2 * (x * y - w * z), 2 * (w * y + x * z)],
+        [zero, -2 * (x * y + w * z), x * x - y * y - w * w + z * z, 2 * (w * x - y * z)],
+    ]))
 
 
-def tangent_frame_at(q: QuaternionPoint):
+def tangent_frame_at(q):
     """Orthonormal frame of the tangent space of S^3 at q.
 
     The rows are the quaternion left products q*i, q*(-j) and q*(-k): the
@@ -243,9 +276,8 @@ def tangent_frame_at(q: QuaternionPoint):
     q.  Left translation by a unit quaternion is a Euclidean isometry of
     R^4 mapping the tangent space at the identity onto the tangent space
     at q, so the three returned 4-vectors are unit, mutually orthogonal,
-    and orthogonal to the radial direction q.
+    and orthogonal to the radial direction q.  q is a QuaternionPoint or a
+    (..., 4) array; each returned vector then has shape (..., 4).
     """
-    w, x, y, z = q.w, q.x, q.y, q.z
-    frame = np.array([[-x, w, z, -y], [y, z, -w, -x], [z, -y, x, -w]])
-    frame.setflags(write=False)
-    return tuple(frame)
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return tuple(_vectors([[-x, w, z, -y], [y, z, -w, -x], [z, -y, x, -w]]))

@@ -2,16 +2,18 @@
 
 Each suite draws its inputs from one shared generator, so a report is a
 pure function of (suite, samples, seed, tolerance, cutoff) and two runs
-with the same flags agree byte for byte.  Records carry the worst observed
-deviation; exact identities (ones that hold in floating point, not merely
-in algebra) carry tolerance 0.  A non-finite deviation fails its record
-and is reported as null.
+with the same flags agree byte for byte.  A suite is one function that
+returns each record's deviations, one per sample, in report order; the
+tetrad suite evaluates each record once over the stack of its draws.
+Records carry the worst observed deviation; exact identities (ones that
+hold in floating point, not merely in algebra) carry tolerance 0.  A
+non-finite deviation fails its record and is reported as null.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
+import collections
 import math
 
 import numpy as np
@@ -22,55 +24,19 @@ __all__ = ["run_verification"]
 
 _MODES = (1, 2, 3, 4)
 
-# Tolerance classes: the --tol value or a fixed number (1e-6 for the
-# classical limit of the truncated Fock space, 0.0 for identities that are
-# exact in floating point).
-_TOL, _CLASSICAL, _EXACT = "tol", 1e-6, 0.0
+_CLASSICAL = 1e-6  # the classical limit of the truncated Fock space, whatever --tol
 
-# suite -> {record name: tolerance class}, in report order
-_RECORDS = {
-    "spinor": {
-        "unitarity_norm": _TOL,
-        "chart_roundtrip": _EXACT,
-        "dyad_self_contraction": _TOL,
-        "dyad_cross_contraction": _TOL,
-        "contraction_antisymmetry": _TOL,
-        "contraction_bilinearity": _TOL,
-        "lowering_twice_negates": _EXACT,
-        "raise_lower_roundtrip": _EXACT,
-        "epsilon_metric_identities": _TOL,
-    },
-    "tetrad": {
-        "null_vector_nullity": _TOL,
-        "frame_inner_product_table": _TOL,
-        "metric_reconstruction": _TOL,
-        "metric_reconstruction_imaginary": _TOL,
-        "general_vs_direct_reconstruction": _TOL,
-        "real_frame_reconstruction": _TOL,
-        "m_n_component_symmetry": _TOL,
-        "frame_metric_self_inverse": _TOL,
-        "bilinear_phase_invariance": _TOL,
-        "real_tetrad_vs_polynomials": _TOL,
-        "rotation_orthonormality": _TOL,
-        "rotation_determinant": _TOL,
-        "rotation_double_cover": _EXACT,
-        "tangent_radial_orthogonality": _TOL,
-        "tangent_orthonormality": _TOL,
-        "real_tetrad_identity_point": 1e-15,
-    },
-    "fock": {
-        "canonical_commutators_safe_subspace": _TOL,
-        "lowering_commutators_vanish": _TOL,
-        "raising_commutators_vanish": _TOL,
-        "bilinear_adjoint_symmetry": _TOL,
-        "bilinear_vs_anticommutator": _TOL,
-        "tetrad_components_hermitian": _TOL,
-        "time_component_zero_point": _EXACT,
-        "spatial_zero_point_cancellation": _TOL,
-        "classical_limit_spatial": _CLASSICAL,
-        "classical_limit_time": _CLASSICAL,
-        "coherent_phase_covariance": _TOL,
-    },
+# the records not judged at --tol: 0.0 for identities that are exact in
+# floating point
+_TOLERANCES = {
+    "chart_roundtrip": 0.0,
+    "lowering_twice_negates": 0.0,
+    "raise_lower_roundtrip": 0.0,
+    "rotation_double_cover": 0.0,
+    "real_tetrad_identity_point": 1e-15,
+    "time_component_zero_point": 0.0,
+    "classical_limit_spatial": _CLASSICAL,
+    "classical_limit_time": _CLASSICAL,
 }
 
 
@@ -88,113 +54,101 @@ def _record(name, devs, tol):
 
 
 def _worst(values):
-    """Largest magnitude among the values, NaN if any is NaN."""
-    return np.abs(values).max()
+    """Each sample's largest magnitude, samples on the first axis; NaN if any is NaN."""
+    values = np.abs(values)
+    return values.reshape(len(values), -1).max(axis=1)
 
 
 def _worst_part(values):
-    """Largest magnitude among the real and imaginary parts of the values."""
+    """Largest magnitude among the real and imaginary parts of each sample's values."""
     values = np.asarray(values, dtype=complex)
-    return _worst([values.real, values.imag])
+    return _worst(np.stack([values.real, values.imag], axis=-1))
 
 
-def _random_spinor(rng):
-    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return spinor.Spinor(c[0], c[1])
+def _frame(t):
+    """The four vectors of a tetrad stack as one (..., 4, 4) array."""
+    return np.stack(t.vectors(), axis=-2)
 
 
-# ---------------------------------------------------------------- spinor
-
-
-def _spinor_fixed():
-    eps, eye = spinor.EPSILON, np.eye(2)
-    yield "epsilon_metric_identities", _worst([eps + eps.T, eps @ eps.T - eye, eps @ eps + eye])
-
-
-def _spinor_draw(rng):
+def _spinor(rng, samples, cutoff):
     contract = spinor.contract
-    g = spinor.random_group_element(rng)
-    yield "unitarity_norm", abs(abs(g.a) ** 2 + abs(g.b) ** 2 - 1.0)
-    g2 = spinor.from_quaternion(spinor.to_quaternion(g), g.phi)
-    yield "chart_roundtrip", _worst([g2.a - g.a, g2.b - g.b, g2.phi - g.phi])
-    d = spinor.dyad_from_element(g)
-    yield "dyad_self_contraction", _worst([contract(d.u, d.u), contract(d.v, d.v)])
-    yield "dyad_cross_contraction", _worst([contract(d.v, d.u) - 1.0, contract(d.u, d.v) + 1.0])
-
-    p, p2, q = _random_spinor(rng), _random_spinor(rng), _random_spinor(rng)
-    yield "contraction_antisymmetry", abs(contract(p, q) + contract(q, p))
-    al, be = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    combo = spinor.Spinor(al * p.c1 + be * p2.c1, al * p.c2 + be * p2.c2)
-    yield "contraction_bilinearity", abs(
-        contract(combo, q) - al * contract(p, q) - be * contract(p2, q)
-    )
-    once = spinor.lower_index(p)
-    twice = spinor.lower_index(spinor.Spinor(once.c1, once.c2))
-    yield "lowering_twice_negates", _worst(twice.components() + p.components())
-    back = spinor.raise_index(once)
-    yield "raise_lower_roundtrip", _worst(back.components() - p.components())
-
-
-# ---------------------------------------------------------------- tetrad
-
-
-_IDENTITY_FRAME = ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 1.0, 0.0, 0.0],
-                   [0.0, 0.0, -1.0, 0.0])
+    res = collections.defaultdict(list)  # record -> one residual per sample
+    for _ in range(samples):
+        g = spinor.random_group_element(rng)
+        res["unitarity_norm"].append(abs(g.a) ** 2 + abs(g.b) ** 2 - 1.0)
+        g2 = spinor.from_quaternion(spinor.to_quaternion(g), g.phi)
+        res["chart_roundtrip"].append([g2.a - g.a, g2.b - g.b, g2.phi - g.phi])
+        d = spinor.dyad_from_element(g)
+        res["dyad_self_contraction"].append([contract(d.u, d.u), contract(d.v, d.v)])
+        res["dyad_cross_contraction"].append([contract(d.v, d.u) - 1.0, contract(d.u, d.v) + 1.0])
+        p, p2, q = (spinor.Spinor(*rng.standard_normal(2) + 1j * rng.standard_normal(2))
+                    for _ in range(3))
+        res["contraction_antisymmetry"].append(contract(p, q) + contract(q, p))
+        al, be = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        lhs = contract(spinor.Spinor(al * p.c1 + be * p2.c1, al * p.c2 + be * p2.c2), q)
+        res["contraction_bilinearity"].append(lhs - al * contract(p, q) - be * contract(p2, q))
+        once = spinor.lower_index(p)
+        twice = spinor.lower_index(spinor.Spinor(once.c1, once.c2))
+        res["lowering_twice_negates"].append(twice.components() + p.components())
+        back = spinor.raise_index(once)
+        res["raise_lower_roundtrip"].append(back.components() - p.components())
+    eps, eye = spinor.EPSILON, np.eye(2)
+    res["epsilon_metric_identities"] = [[eps + eps.T, eps @ eps.T - eye, eps @ eps + eye]]
+    return {name: _worst(values) for name, values in res.items()}
 
 
-def _tetrad_fixed():
-    fm = tetrad.NULL_FRAME_METRIC
-    yield "frame_metric_self_inverse", _worst(fm @ fm - np.eye(4))
-    ident = tetrad.real_tetrad(spinor.dyad_from_element(spinor.GroupElement(1.0, 0.0)))
-    yield "real_tetrad_identity_point", _worst(np.subtract(ident.vectors(), _IDENTITY_FRAME))
+_IDENTITY_FRAME = ((1, 0, 0, 0), (0, 0, 0, -1), (0, 1, 0, 0), (0, 0, -1, 0))
 
 
-def _tetrad_draw(rng):
-    eta = tetrad.ETA
-    q = spinor.random_s3_point(rng)
-    d = spinor.dyad_from_element(spinor.from_quaternion(q))
-    nt = tetrad.null_tetrad(d)
-    vecs = nt.vectors()
-    table = np.array([[tetrad.minkowski_inner(a, b) for b in vecs] for a in vecs])
-    yield "null_vector_nullity", _worst(np.diagonal(table))
-    yield "frame_inner_product_table", _worst(table - tetrad.NULL_FRAME_METRIC)
+def _tetrad(rng, samples, cutoff):
+    eta, fm, general = tetrad.ETA, tetrad.NULL_FRAME_METRIC, tetrad.reconstruct_metric_general
+    points, spinors, phases = [], [], []
+    for _ in range(samples):
+        q = spinor.random_s3_point(rng)
+        d = spinor.dyad_from_element(spinor.from_quaternion(q))
+        d_neg = spinor.dyad_from_element(spinor.from_quaternion(-q))
+        points.append(q.as_array())
+        spinors.append([s.components() for s in (d.u, d.v, d_neg.u, d_neg.v)])
+        phases.append(cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+    q = np.array(points)
+    u, v, u_neg, v_neg = np.moveaxis(np.array(spinors), 1, 0)
+    nt = tetrad._null_tetrad(u, v)
+    vecs = _frame(nt)
+    table = tetrad.minkowski_inner(vecs[:, :, None], vecs[:, None, :])
     g = tetrad.reconstruct_metric(nt)
-    yield "metric_reconstruction", _worst(g.real - eta)
-    yield "metric_reconstruction_imaginary", _worst(g.imag)
-    g2 = tetrad.reconstruct_metric_general(vecs, tetrad.NULL_FRAME_METRIC)
-    yield "general_vs_direct_reconstruction", _worst(g2 - g)
-    rt = tetrad.real_tetrad(d)
-    yield "real_frame_reconstruction", _worst_part(
-        tetrad.reconstruct_metric_general(rt.vectors(), eta) - eta
-    )
-    # m^0 = n^0 and m^i = -n^i
-    yield "m_n_component_symmetry", _worst(nt.m + eta @ nt.n)
-
-    u, v = d.u.components(), d.v.components()
-    ph = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-    # (l, l*, m, n) are the bilinears of (v, u), (u, v), (v, v) and (u, u)
-    phased = tetrad.pauli_bilinear(ph * np.array([v, u, v, u]), ph * np.array([u, v, v, u]))
-    yield "bilinear_phase_invariance", _worst(np.subtract(phased, vecs))
-
-    yield "real_tetrad_vs_polynomials", _worst(
-        np.subtract(rt.vectors(), tetrad.real_tetrad_polynomials(q).vectors())
-    )
+    rt = tetrad._real_tetrad(nt)
+    rt_neg = tetrad._real_tetrad(tetrad._null_tetrad(u_neg, v_neg))
+    polynomials = tetrad.real_tetrad_polynomials(q)
     rot = rt.dreibein()
-    yield "rotation_orthonormality", _worst(rot.T @ rot - np.eye(3))
-    yield "rotation_determinant", abs(np.linalg.det(rot) - 1.0)
-    rt_neg = tetrad.real_tetrad(spinor.dyad_from_element(spinor.from_quaternion(-q)))
-    yield "rotation_double_cover", _worst(np.subtract(rt.vectors(), rt_neg.vectors()))
-    frame = np.array(tetrad.tangent_frame_at(q))
-    yield "tangent_radial_orthogonality", _worst(frame @ q.as_array())
-    yield "tangent_orthonormality", _worst(frame @ frame.T - np.eye(3))
-
-
-# ------------------------------------------------------------------ fock
+    # (l, l*, m, n) are the bilinears of (v, u), (u, v), (v, v) and (u, u)
+    ph = np.array(phases)[:, None, None]
+    phased = tetrad.pauli_bilinear(ph * np.stack([v, u, v, u], axis=1),
+                                   ph * np.stack([u, v, v, u], axis=1))
+    tangent = np.stack(tetrad.tangent_frame_at(q), axis=-2)
+    ident = tetrad.real_tetrad(spinor.dyad_from_element(spinor.GroupElement(1.0, 0.0)))
+    return {
+        "null_vector_nullity": _worst(np.diagonal(table, axis1=1, axis2=2)),
+        "frame_inner_product_table": _worst(table - fm),
+        "metric_reconstruction": _worst(g.real - eta),
+        "metric_reconstruction_imaginary": _worst(g.imag),
+        "general_vs_direct_reconstruction": _worst(general(nt.vectors(), fm) - g),
+        "real_frame_reconstruction": _worst_part(general(rt.vectors(), eta) - eta),
+        # m^0 = n^0 and m^i = -n^i
+        "m_n_component_symmetry": _worst(nt.m + tetrad._lower(nt.n)),
+        "frame_metric_self_inverse": _worst([fm @ fm - np.eye(4)]),
+        "bilinear_phase_invariance": _worst(phased - vecs),
+        "real_tetrad_vs_polynomials": _worst(_frame(rt) - _frame(polynomials)),
+        "rotation_orthonormality": _worst(rot.mT @ rot - np.eye(3)),
+        "rotation_determinant": _worst(np.linalg.det(rot) - 1.0),
+        "rotation_double_cover": _worst(_frame(rt) - _frame(rt_neg)),
+        "tangent_radial_orthogonality": _worst(tangent @ q[..., None]),
+        "tangent_orthonormality": _worst(tangent @ tangent.mT - np.eye(3)),
+        "real_tetrad_identity_point": _worst([np.subtract(ident.vectors(), _IDENTITY_FRAME)]),
+    }
 
 
 def _poisson_tail(intensity, cutoff):
-    term = 1.0
-    acc = 1.0
+    term = acc = 1.0
     for n in range(1, cutoff + 1):
         term *= intensity / n
         acc += term
@@ -224,8 +178,7 @@ def _coherent_scale_for_cutoff(cutoff):
     return math.sqrt(lo / 2.0)
 
 
-def _fock_checks(cutoff):
-    """The fixed operator checks at this cutoff, and the per-draw check."""
+def _fock(rng, samples, cutoff):
     space = fock.FockSpace(cutoff)
     eye = space.identity()
     ann = {r: space.annihilator(r) for r in _MODES}
@@ -233,59 +186,53 @@ def _fock_checks(cutoff):
     safe = space.safe_indices()
     taus = {(r, s): space.tau(r, s) for r in _MODES for s in _MODES}
     comps = {name: fock.tetrad_component(space, name) for name in fock.TETRAD_BILINEARS}
+    devs = collections.defaultdict(list)  # record -> one deviation per operator or draw
+    for (r, s), tau in taus.items():
+        comm = ann[r] @ cre[s] - cre[s] @ ann[r]
+        if r == s:
+            comm = comm - eye
+        devs["canonical_commutators_safe_subspace"].append(comm.max_abs(columns=safe))
+        devs["lowering_commutators_vanish"].append((ann[r] @ ann[s] - ann[s] @ ann[r]).max_abs())
+        devs["raising_commutators_vanish"].append((cre[r] @ cre[s] - cre[s] @ cre[r]).max_abs())
+        devs["bilinear_adjoint_symmetry"].append((tau.dagger() - taus[s, r]).max_abs())
+        anticomm = 0.5 * (cre[r] @ ann[s] + ann[s] @ cre[r])
+        devs["bilinear_vs_anticommutator"].append((tau - anticomm).max_abs(columns=safe))
+    for name, op in comps.items():
+        devs["tetrad_components_hermitian"].append(op.hermiticity_defect())
+        if name == "t0":
+            shifted = space.total_quanta() + 2.0 * eye
+            devs["time_component_zero_point"].append((op - shifted).max_abs())
+        else:
+            terms = [(cre[r] @ ann[s]) * coeff for coeff, r, s in fock.TETRAD_BILINEARS[name]]
+            normal_ordered = sum(terms[1:], terms[0])
+            devs["spatial_zero_point_cancellation"].append((op - normal_ordered).max_abs())
+
     scale = _coherent_scale_for_cutoff(cutoff)
-
-    def fixed():
-        for (r, s), tau in taus.items():
-            comm = ann[r] @ cre[s] - cre[s] @ ann[r]
-            if r == s:
-                comm = comm - eye
-            yield "canonical_commutators_safe_subspace", comm.max_abs(columns=safe)
-            yield "lowering_commutators_vanish", (ann[r] @ ann[s] - ann[s] @ ann[r]).max_abs()
-            yield "raising_commutators_vanish", (cre[r] @ cre[s] - cre[s] @ cre[r]).max_abs()
-            yield "bilinear_adjoint_symmetry", (tau.dagger() - taus[s, r]).max_abs()
-            anticomm = 0.5 * (cre[r] @ ann[s] + ann[s] @ cre[r])
-            yield "bilinear_vs_anticommutator", (tau - anticomm).max_abs(columns=safe)
-        for name, op in comps.items():
-            yield "tetrad_components_hermitian", op.hermiticity_defect()
-            if name == "t0":
-                shifted = space.total_quanta() + 2.0 * eye
-                yield "time_component_zero_point", (op - shifted).max_abs()
-            else:
-                terms = [(cre[r] @ ann[s]) * coeff for coeff, r, s in fock.TETRAD_BILINEARS[name]]
-                normal_ordered = sum(terms[1:], terms[0])
-                yield "spatial_zero_point_cancellation", (op - normal_ordered).max_abs()
-
-    def draw(rng):
+    spinors, values, values_ph = [], [], []
+    for _ in range(samples):
         g = spinor.random_group_element(rng)
+        d = spinor.dyad_from_element(g)
+        spinors.append([d.u.components(), d.v.components()])
         amps = fock.BispinorAmplitudes.from_element(g)
         state = fock.coherent_state(space, amps, scale)
-        values = dict(zip(fock.TETRAD_BILINEARS, fock.tetrad_expectations(space, state)))
-        rt = tetrad.real_tetrad(spinor.dyad_from_element(g))
-        axes = {"z": rt.z, "x": rt.x, "y": rt.y}
-        s2 = scale * scale
-        spatial = [val - s2 * axes[name[0]][int(name[1])]
-                   for name, val in values.items() if name != "t0"]
-        yield "classical_limit_spatial", _worst_part(spatial)
-        yield "classical_limit_time", _worst_part([values["t0"] - (2.0 + 2.0 * s2)])
+        values.append(fock.tetrad_expectations(space, state))
         ph = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         phased = fock.BispinorAmplitudes(*(ph * amps.as_array()))
-        state_ph = fock.coherent_state(space, phased, scale)
-        values_ph = fock.tetrad_expectations(space, state_ph)
-        yield "coherent_phase_covariance", _worst(
-            [val - val_ph for val, val_ph in zip(values.values(), values_ph)]
-        )
+        values_ph.append(fock.tetrad_expectations(space, fock.coherent_state(space, phased, scale)))
+    u, v = np.moveaxis(np.array(spinors), 1, 0)
+    rt = tetrad._real_tetrad(tetrad._null_tetrad(u, v))
+    axes = {"z": rt.z, "x": rt.x, "y": rt.y}
+    values, values_ph = np.array(values), np.array(values_ph)
+    columns = dict(zip(fock.TETRAD_BILINEARS, values.T))
+    s2 = scale * scale
+    spatial = [col - s2 * axes[n[0]][:, int(n[1])] for n, col in columns.items() if n != "t0"]
+    devs["classical_limit_spatial"] = _worst_part(np.transpose(spatial))
+    devs["classical_limit_time"] = _worst_part(columns["t0"] - (2.0 + 2.0 * s2))
+    devs["coherent_phase_covariance"] = _worst(values - values_ph)
+    return devs
 
-    return fixed(), draw
 
-
-def _suite_checks(suite, cutoff):
-    """(fixed checks, per-draw check) of one suite."""
-    if suite == "spinor":
-        return _spinor_fixed(), _spinor_draw
-    if suite == "tetrad":
-        return _tetrad_fixed(), _tetrad_draw
-    return _fock_checks(cutoff)
+_SUITES = {"spinor": _spinor, "tetrad": _tetrad, "fock": _fock}
 
 
 def run_verification(
@@ -299,29 +246,25 @@ def run_verification(
 
     The report is deterministic for fixed arguments; the overall pass flag
     is the conjunction of the per-record flags.  Raises ValueError for an
-    unknown suite, samples < 1, a cutoff that is not a nonnegative integer
-    or a tolerance that is negative or not finite.
+    unknown suite, samples < 1, a negative seed, a cutoff that is not a
+    nonnegative integer or a tolerance that is negative or not finite.
     """
-    if suite not in (*_RECORDS, "all"):
-        raise ValueError(f"suite must be one of {(*_RECORDS, 'all')}")
+    if suite not in (*_SUITES, "all"):
+        raise ValueError(f"suite must be one of {(*_SUITES, 'all')}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
     if not (0 <= cutoff < math.inf and cutoff % 1 == 0):
         raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     rng = np.random.default_rng(seed)
-    tols = {_TOL: float(tol)}
-    records = []
-    for name, table in _RECORDS.items():
-        if suite not in (name, "all"):
-            continue
-        fixed, draw = _suite_checks(name, cutoff)
-        draws = itertools.chain.from_iterable(draw(rng) for _ in range(samples))
-        devs = {record: [] for record in table}
-        for record, dev in itertools.chain(fixed, draws):
-            devs[record].append(dev)
-        records += [_record(rec, devs[rec], tols.get(cls, cls)) for rec, cls in table.items()]
+    records = [
+        _record(record, devs, _TOLERANCES.get(record, tol))
+        for name, run in _SUITES.items() if suite in (name, "all")
+        for record, devs in run(rng, samples, cutoff).items()
+    ]
     return {
         "command": "verify",
         "suite": suite,

@@ -177,7 +177,8 @@ def test_verify_usage_errors(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("--tol", "nan"), ("--tol", "inf"), ("--suite", "spinor", "--cutoff", "-1"), ("--tol", "-1")],
+    [("--tol", "nan"), ("--tol", "inf"), ("--suite", "spinor", "--cutoff", "-1"), ("--tol", "-1"),
+     ("--seed", "-1")],
 )
 def test_verify_bad_input_exit2(capsys, argv):
     code, out, err = run_cli(capsys, "verify", "--samples", "5", *argv)

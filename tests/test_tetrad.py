@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from urtetrad import tetrad
 from urtetrad.spinor import (
     Dyad,
     GroupElement,
@@ -227,6 +228,12 @@ def test_bilinears_phase_invariant():
             assert np.abs(pauli_bilinear(ph * p, ph * q) - pauli_bilinear(p, q)).max() < 1e-12
 
 
+def bits(value):
+    """dtype, shape and bytes: equal bits, the sign of every zero included."""
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
 def test_stacked_bilinear_matches_scalar_calls():
     rng = np.random.default_rng(79)
     p = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
@@ -237,6 +244,49 @@ def test_stacked_bilinear_matches_scalar_calls():
         single = pauli_bilinear(a, b)
         assert single.shape == (4,)
         assert row.tobytes() == single.tobytes()
+
+    # every tetrad function over a stack equals its per-point calls bit for
+    # bit; the axis points give entries that are zero
+    axes = [QuaternionPoint(*row) for row in np.eye(4)] + [QuaternionPoint(0.5, -0.5, 0.5, -0.5)]
+    points = axes + [-pt for pt in axes] + [random_s3_point(rng) for _ in range(40)]
+    quats = np.array([pt.as_array() for pt in points])
+    dyads = [dyad_from_element(from_quaternion(pt)) for pt in points]
+    nt = tetrad._null_tetrad(
+        np.array([d.u.components() for d in dyads]), np.array([d.v.components() for d in dyads])
+    )
+    rt = tetrad._real_tetrad(nt)
+    rp = real_tetrad_polynomials(quats)
+    frames = tangent_frame_at(quats)
+    metric = reconstruct_metric(nt)
+    general = reconstruct_metric_general(nt.vectors(), NULL_FRAME_METRIC)
+    general_real = reconstruct_metric_general(rt.vectors(), ETA)
+    # complex and real frames, in all four pairings
+    tables = [
+        minkowski_inner(np.stack(f.vectors(), 1)[:, :, None], np.stack(g.vectors(), 1)[:, None, :])
+        for f in (nt, rt) for g in (nt, rt)
+    ]
+    assert {table.shape for table in tables} == {(len(points), 4, 4)}
+    for i, (pt, d) in enumerate(zip(points, dyads)):
+        nt_i, rt_i, rp_i = null_tetrad(d), real_tetrad(d), real_tetrad_polynomials(pt)
+        for whole, one in ((nt, nt_i), (rt, rt_i), (rp, rp_i)):
+            for vec, vec_i in zip(whole.vectors(), one.vectors()):
+                assert bits(vec[i]) == bits(vec_i)
+                assert not vec.flags.writeable and not vec_i.flags.writeable
+        assert bits(rt.dreibein()[i]) == bits(rt_i.dreibein())
+        assert bits(rp.dreibein()[i]) == bits(rp_i.dreibein())
+        for vec, vec_i in zip(frames, tangent_frame_at(pt)):
+            assert bits(vec[i]) == bits(vec_i)
+        assert bits(metric[i]) == bits(reconstruct_metric(nt_i))
+        assert bits(general[i]) == bits(reconstruct_metric_general(nt_i.vectors(), NULL_FRAME_METRIC))
+        assert bits(general_real[i]) == bits(reconstruct_metric_general(rt_i.vectors(), ETA))
+        for (f, g), table in zip([(f, g) for f in (nt_i, rt_i) for g in (nt_i, rt_i)], tables):
+            for a, row in zip(f.vectors(), table[i]):
+                for b, entry in zip(g.vectors(), row):
+                    value = minkowski_inner(a, b)
+                    assert type(value) is complex
+                    assert bits(entry) == bits(value)
+    # a real pair keeps the +0 imaginary part even where every product has -0
+    assert bits(minkowski_inner([[1.0, -1, -1, -1]], [-1.0, -1, -1, -1])) == bits([4 + 0j])
 
 
 def quaternion_left_product(p, q):

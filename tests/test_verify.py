@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from urtetrad import fock, spinor, tetrad
@@ -93,11 +94,26 @@ def _add_each(orig, delta):
 
 
 def _late(make):
-    """`make`'s fault, spared on the first call so that the first deviation is finite."""
+    """`make`'s fault, spared on the first sample so that the first deviation is finite.
+
+    A call whose last argument is 2-D carries a stack of samples, one per
+    row, and the first call's first row gets a delta of 0; any other call
+    carries one sample, and the first call is not faulted.
+    """
 
     def make_late(orig, arg):
         faulty, calls = make(orig, arg), itertools.count()
-        return lambda *args: (faulty if next(calls) else orig)(*args)
+
+        def fake(*args):
+            first = next(calls) == 0
+            if np.ndim(args[-1]) != 2:
+                return (orig if first else faulty)(*args)
+            delta = np.full((len(args[-1]), 1), arg)
+            if first:
+                delta[0] = 0.0
+            return make(orig, delta)(*args)
+
+        return fake
 
     return make_late
 
