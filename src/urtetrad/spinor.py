@@ -7,10 +7,11 @@ identifies the phase-free part with a point (w, x, y, z) of the unit
 v = (b, a*); contracted through the antisymmetric spinor metric they form
 a dyad: u_A u^A = v_A v^A = 0 and v_A u^A = -u_A v^A = 1.
 
-Tolerance policy: constructors admit input within 1e-9 of the unit sphere
-and snap it exactly onto the sphere; algebraic identities downstream are
-checked at 1e-12.  Points already unit to ~1e-13 are stored untouched so
-that chart round trips are bit-exact.
+Tolerance policy: both constructors pass the chart coordinates (w, x, y, z)
+through one gate that admits w^2 + x^2 + y^2 + z^2 within 1e-9 of 1 and snaps
+the point onto the sphere unless it is within 1e-13.  A point the gate returns
+passes it again untouched, so chart round trips are bit-exact.  Algebraic
+identities downstream are checked at 1e-12.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ __all__ = [
 ]
 
 ADMISSION_TOL = 1e-9
-# below this drift the point counts as already on the sphere; skipping the
-# renormalization there keeps chart round trips bit-exact
+# a point this near the sphere is stored untouched, so re-admission is a no-op
 _RENORM_SKIP = 1e-13
 _TWO_PI = 2.0 * math.pi
 
@@ -63,6 +63,19 @@ class VarianceMismatchError(ValueError):
     """Index operation applied to a spinor of the wrong variance."""
 
 
+def _on_sphere(label: str, w: float, x: float, y: float, z: float) -> tuple:
+    """(w, x, y, z) snapped onto the unit sphere; NonUnitError, naming the norm
+    by label, unless w^2 + x^2 + y^2 + z^2 is within ADMISSION_TOL of 1."""
+    norm = w * w + x * x + y * y + z * z
+    # an overflow sums to inf; written so that a NaN norm fails the gate too
+    if not abs(norm - 1.0) <= ADMISSION_TOL:
+        raise NonUnitError(f"{label} = {norm!r} is not 1 within {ADMISSION_TOL}")
+    if abs(norm - 1.0) <= _RENORM_SKIP:
+        return w, x, y, z
+    s = math.sqrt(norm)
+    return w / s, x / s, y / s, z / s
+
+
 def _wrap_phase(phi: float) -> float:
     phi = math.fmod(phi, _TWO_PI)
     if phi < 0.0:
@@ -77,7 +90,7 @@ class GroupElement:
     """A point of U(2): complex pair (a, b) with |a|^2 + |b|^2 = 1, plus a phase.
 
     Raises NonUnitError when (a, b) is farther than 1e-9 from the unit
-    sphere or not finite; nearer input is renormalized exactly onto it.
+    sphere or not finite; nearer input is snapped by the chart gate.
     The phase must be finite and is wrapped to [0, 2*pi).
     """
 
@@ -91,19 +104,9 @@ class GroupElement:
         phi = float(self.phi)
         if not math.isfinite(phi):
             raise ValueError(f"phase phi = {phi!r} is not finite")
-        try:
-            norm = abs(a) ** 2 + abs(b) ** 2
-        except OverflowError:  # |a| or |b|, or its square, beyond the largest float
-            norm = math.inf
-        # written so that a NaN norm fails the gate too
-        if not abs(norm - 1.0) <= ADMISSION_TOL:
-            raise NonUnitError(f"|a|^2 + |b|^2 = {norm!r} is not 1 within {ADMISSION_TOL}")
-        if abs(norm - 1.0) > _RENORM_SKIP:
-            s = math.sqrt(norm)
-            a /= s
-            b /= s
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        w, x, y, z = _on_sphere("|a|^2 + |b|^2", a.real, b.imag, b.real, a.imag)
+        object.__setattr__(self, "a", complex(w, z))
+        object.__setattr__(self, "b", complex(y, x))
         object.__setattr__(self, "phi", _wrap_phase(phi))
 
     def su2_matrix(self) -> np.ndarray:
@@ -119,7 +122,7 @@ class GroupElement:
 class QuaternionPoint:
     """A point (w, x, y, z) of the unit 3-sphere.
 
-    Same admission and snapping policy as GroupElement.
+    Admitted and snapped by the same gate as GroupElement.
     """
 
     w: float
@@ -128,13 +131,7 @@ class QuaternionPoint:
     z: float
 
     def __post_init__(self):
-        w, x, y, z = comps = [float(self.w), float(self.x), float(self.y), float(self.z)]
-        norm = w * w + x * x + y * y + z * z
-        if not abs(norm - 1.0) <= ADMISSION_TOL:
-            raise NonUnitError(f"w^2 + x^2 + y^2 + z^2 = {norm!r} is not 1 within {ADMISSION_TOL}")
-        if abs(norm - 1.0) > _RENORM_SKIP:
-            s = math.sqrt(norm)
-            comps = [c / s for c in comps]
+        comps = _on_sphere("w^2 + x^2 + y^2 + z^2", float(self.w), float(self.x), float(self.y), float(self.z))
         for name, val in zip(("w", "x", "y", "z"), comps):
             object.__setattr__(self, name, val)
 

@@ -171,23 +171,24 @@ def minkowski_inner(p, q):
     contract to zero with themselves.  One pair gives a complex, stacks of
     (..., 4) vectors a complex array.
     """
-    p, q = np.asarray(p), np.asarray(q)
-    a = p.copy()
-    a[..., 0] = -p[..., 0]
+    a, q = _lower(p), np.asarray(q)
     # each product is formed by parts, as numpy's scalar complex product
     # forms it (its array product rounds differently); a real pair keeps the
     # +0 imaginary part that complex() gives it
     re = a.real * q.real - a.imag * q.imag
     out = np.zeros(re.shape[:-1], dtype=complex)
     out.real = re[..., 0] + re[..., 1] + re[..., 2] + re[..., 3]
-    if np.iscomplexobj(p) or np.iscomplexobj(q):
+    if np.iscomplexobj(a) or np.iscomplexobj(q):
         im = a.real * q.imag + a.imag * q.real
         out.imag = im[..., 0] + im[..., 1] + im[..., 2] + im[..., 3]
     return complex(out) if out.ndim == 0 else out
 
 
 def _lower(p) -> np.ndarray:
-    return (ETA @ np.asarray(p)[..., None])[..., 0]
+    """p^mu lowered with eta: a copy in p's dtype with component 0 negated."""
+    lowered = np.array(p)
+    lowered[..., 0] = -lowered[..., 0]
+    return lowered
 
 
 def reconstruct_metric(nt: NullTetrad) -> np.ndarray:

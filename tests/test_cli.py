@@ -523,3 +523,19 @@ def test_verify_exits_0_1_or_2_with_at_most_one_json_line(tol, samples, seed, su
          f"--suite={suite}", f"--cutoff={cutoff}"],
         printed_on=(0, 1),
     )
+
+
+@pytest.mark.parametrize("frame", ["--real", "--null"])
+def test_printed_quaternion_replays_the_element(capsys, frame):
+    """A point whose norm, summed as w^2 + x^2 + y^2 + z^2 and as
+    |a|^2 + |b|^2, falls on opposite sides of the 1e-13 snap edge: the
+    quaternion printed for --a/--b replays its stdout byte for byte."""
+    code, out, err = run_cli(
+        capsys, "tetrad", "--a", "-0.7728874398340511", "0.5146180989940167",
+        "--b", "-0.22942897773105045", "0.2918485252865531", frame,
+    )
+    assert code == 0, err
+    quat = [repr(c) for c in json.loads(out)["input"]["quaternion"]]
+    code, replay, err = run_cli(capsys, "tetrad", "--quat", *quat, frame)
+    assert code == 0, err
+    assert replay == out

@@ -3,10 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edges import EDGE_COMPLEX, EDGE_FLOATS
+from edges import EDGE_COMPLEX, EDGE_FLOATS, NEAR_SPHERE
 from urtetrad.spinor import (
     ADMISSION_TOL,
     EPSILON,
@@ -102,6 +102,36 @@ def test_quaternion_norm_on_the_admission_edge():
     assert admitted > 500 and refused > 500
 
 
+def _gate_norm(w, x, y, z):
+    """The norm the admission gate measures, summed in its order."""
+    return w * w + x * x + y * y + z * z
+
+
+def test_group_element_norm_on_the_admission_edge():
+    """The GroupElement twin: admission, snapping and the refusal message
+    follow the norm of the chart coordinates (Re a, Im b, Re b, Im a)
+    summed as w^2 + x^2 + y^2 + z^2."""
+    rng = np.random.default_rng(67)
+    admitted = refused = 0
+    for _ in range(2000):
+        v = rng.standard_normal(4)
+        v *= math.sqrt(1.0 + rng.uniform(-2 * ADMISSION_TOL, 2 * ADMISSION_TOL)) / np.linalg.norm(v)
+        w, x, y, z = comps = [float(c) for c in v]
+        norm = _gate_norm(*comps)
+        if abs(norm - 1.0) <= ADMISSION_TOL:
+            g = GroupElement(complex(w, z), complex(y, x))
+            s = math.sqrt(norm)
+            want = comps if abs(norm - 1.0) <= 1e-13 else [c / s for c in comps]
+            got = [g.a.real, g.b.imag, g.b.real, g.a.imag]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            admitted += 1
+        else:
+            with pytest.raises(NonUnitError, match=re.escape(f"|a|^2 + |b|^2 = {norm!r}")):
+                GroupElement(complex(w, z), complex(y, x))
+            refused += 1
+    assert admitted > 500 and refused > 500
+
+
 def test_determinant_is_one():
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -144,11 +174,28 @@ def test_from_quaternion_cases():
         QuaternionPoint(2, 0, 0, 0)
 
 
+# chart coordinates (w, x, y, z) whose norm, summed as w^2 + x^2 + y^2 + z^2
+# and as |a|^2 + |b|^2, falls on opposite sides of the 1e-13 snap edge
+EDGE_G = (-0.7728874398340511, 0.2918485252865531, -0.22942897773105045, 0.5146180989940167)
+EDGE_Q = (0.43374010462988455, -0.35845405741884506, -0.444055570385729, -0.6972767461812627)
+
+
+def _element_bytes(g):
+    return np.array([g.a.real, g.a.imag, g.b.real, g.b.imag, g.phi]).tobytes()
+
+
 def test_chart_roundtrip_exact():
     rng = np.random.default_rng(11)
     for _ in range(300):
         g = random_group_element(rng)
         assert from_quaternion(to_quaternion(g), g.phi) == g
+    for w, x, y, z in (EDGE_G, EDGE_Q):
+        g = GroupElement(complex(w, z), complex(y, x))
+        back = from_quaternion(to_quaternion(g), g.phi)
+        assert back == g and _element_bytes(back) == _element_bytes(g)
+        q = QuaternionPoint(w, x, y, z)
+        back = to_quaternion(from_quaternion(q))
+        assert back == q and back.as_array().tobytes() == q.as_array().tobytes()
 
 
 def test_s3_sampling_on_sphere():
@@ -276,6 +323,7 @@ _SNAPPED = 1e-13
 
 @settings(max_examples=300, deadline=None)
 @given(a=EDGE_COMPLEX, b=EDGE_COMPLEX, phi=EDGE_FLOATS)
+@example(a=complex(EDGE_Q[0], EDGE_Q[3]), b=complex(EDGE_Q[2], EDGE_Q[1]), phi=0.0)
 def test_group_element_refuses_or_lands_on_the_sphere(a, b, phi):
     try:
         g = GroupElement(a, b, phi)
@@ -284,7 +332,7 @@ def test_group_element_refuses_or_lands_on_the_sphere(a, b, phi):
         return
     parts = (g.a.real, g.a.imag, g.b.real, g.b.imag, g.phi)
     assert all(math.isfinite(part) for part in parts) and 0.0 <= g.phi < 2.0 * math.pi
-    assert abs(abs(g.a) ** 2 + abs(g.b) ** 2 - 1.0) <= _SNAPPED
+    assert abs(_gate_norm(g.a.real, g.b.imag, g.b.real, g.a.imag) - 1.0) <= _SNAPPED
 
 
 @settings(max_examples=300, deadline=None)
@@ -297,5 +345,24 @@ def test_quaternion_point_refuses_or_lands_on_the_sphere(w, x, y, z):
         return
     parts = q.as_array()
     assert np.isfinite(parts).all()
-    assert abs(float(parts @ parts) - 1.0) <= _SNAPPED
+    assert abs(_gate_norm(*parts.tolist()) - 1.0) <= _SNAPPED
 
+
+@settings(max_examples=300, deadline=None)
+@given(p=NEAR_SPHERE, phi=EDGE_FLOATS)
+def test_readmission_is_bit_identical(p, phi):
+    """What either constructor admits passes the gate again untouched, and
+    both constructors store the same point for the same chart coordinates."""
+    try:
+        q = QuaternionPoint(*p)
+    except NonUnitError:
+        return
+    assert QuaternionPoint(q.w, q.x, q.y, q.z).as_array().tobytes() == q.as_array().tobytes()
+    w, x, y, z = p
+    try:
+        g = GroupElement(complex(w, z), complex(y, x), phi)
+    except ValueError:  # a non-finite phase
+        return
+    assert _element_bytes(GroupElement(g.a, g.b, g.phi)) == _element_bytes(g)
+    assert to_quaternion(g).as_array().tobytes() == q.as_array().tobytes()
+    assert _element_bytes(from_quaternion(q, g.phi)) == _element_bytes(g)
