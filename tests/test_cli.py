@@ -326,11 +326,11 @@ def test_cutoff_above_the_bound_names_the_flag(capsys, argv):
     "argv, want",
     [
         (("--quat", "1", "1", "0", "0", "--real"), "error: --quat: w^2 + x^2 + y^2 + z^2 = 2.0 is not 1"),
+        (("--a", "1", "0", "--b", "1", "0", "--phi", "nan", "--null"), "error: --phi: phase phi = nan is not finite"),
+        (("--quat", "1", "0", "0", "0", "--phi", "inf", "--null"), "error: --phi: phase phi = inf is not finite"),
         (("--a", "1", "0", "--b", "1", "0", "--real"), "error: --a/--b: |a|^2 + |b|^2 = 2.0 is not 1"),
         (("--a", "1.5e154", "0", "--b", "0", "0", "--real"), "error: --a/--b: |a|^2 + |b|^2 = inf is not 1"),
         (("--a", "nan", "0", "--b", "0", "0", "--real"), "error: --a/--b: |a|^2 + |b|^2 = nan is not 1"),
-        (("--a", "1", "0", "--b", "1", "0", "--phi", "nan", "--null"), "error: --phi: phase phi = nan is not finite"),
-        (("--quat", "1", "0", "0", "0", "--phi", "inf", "--null"), "error: --phi: phase phi = inf is not finite"),
     ],
 )
 def test_tetrad_refusals_name_the_flag(capsys, argv, want):
