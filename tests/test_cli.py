@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -191,6 +192,38 @@ def test_verify_bad_input_exit2(capsys, argv):
 def test_dumps17_rejects_nonfinite(value):
     with pytest.raises(ValueError, match="non-finite"):
         dumps17({"radius": [1.0, value]})
+
+
+class _Mode(enum.IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize(
+    "obj, text",
+    [
+        ({"a": [1, (2.5, {"b": []})], "c": {}}, '{"a":[1,[2.5,{"b":[]}]],"c":{}}'),
+        ((), "[]"),
+        ([True, False, None], "[true,false,null]"),
+        (True, "true"),
+        (None, "null"),
+        (_Mode.TWO, "2"),
+        ([-(10**40), 10**40], "[-10000000000000000000000000000000000000000,10000000000000000000000000000000000000000]"),
+        (-0.0, "-0"),
+        (1e300, "1.0000000000000001e+300"),
+        (np.float64(0.1), "0.10000000000000001"),
+        ("grüße π", '"gr\\u00fc\\u00dfe \\u03c0"'),
+        ('say "hi" \\ bye', '"say \\"hi\\" \\\\ bye"'),
+        ({1: 0.5, None: "x", 2.5: [], False: {}}, '{"1":0.5,"None":"x","2.5":[],"False":{}}'),
+    ],
+)
+def test_dumps17_writes(obj, text):
+    assert dumps17(obj) == text
+
+
+@pytest.mark.parametrize("obj", [object(), np.int64(1), {"k": [object()]}])
+def test_dumps17_refuses_an_unsupported_type(obj):
+    with pytest.raises(TypeError):
+        dumps17(obj)
 
 
 def test_fock_matrix_t0(capsys):
@@ -419,7 +452,7 @@ OPERATORS = [[name] for name in fock.TETRAD_BILINEARS] + [
 PAIR = ("-0.6", "-0.0", "-0.48", "0.64", "-0.7")
 
 
-@pytest.mark.parametrize("cutoff", [0, 1, 4, 12])
+@pytest.mark.parametrize("cutoff", [0, 1, 4, 12, 30])
 def test_expect_coherent_value_is_the_expectation_bit_for_bit(capsys, cutoff):
     scale = float(verify._coherent_scale_for_cutoff(cutoff))
     space = fock.FockSpace(cutoff)
