@@ -31,47 +31,25 @@ _CONVENTION = (
 )
 
 
-def _emit(obj, out):
-    if isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(int(obj)))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot write the non-finite float {float(obj)!r} as JSON")
-        out.append(format(float(obj), ".17g"))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(val, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, val in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(val, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def dumps17(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, 17-significant-digit floats.
 
+    Floats, ints, dicts, lists and tuples are written here, a key as the
+    JSON string of its str().  Everything else goes to json.dumps: bool,
+    None and str, and any other type, which it refuses with TypeError.
     Raises ValueError for a NaN or infinite float, which JSON cannot hold.
     """
-    out = []
-    _emit(obj, out)
-    return "".join(out)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite float {float(obj)!r} as JSON")
+        return format(float(obj), ".17g")
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return str(int(obj))
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(key))}:{dumps17(val)}" for key, val in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(dumps17, obj)) + "]"
+    return json.dumps(obj)
 
 
 def _pair(z) -> list:
@@ -129,17 +107,9 @@ def _cmd_tetrad(args) -> int:
     }
     d = spinor.dyad_from_element(g)
     if args.real:
-        rt = tetrad.real_tetrad(d)
-        doc["t"] = rt.t.tolist()
-        doc["z"] = rt.z.tolist()
-        doc["x"] = rt.x.tolist()
-        doc["y"] = rt.y.tolist()
+        doc.update(zip("tzxy", (vec.tolist() for vec in tetrad.real_tetrad(d).vectors())))
     else:
-        nt = tetrad.null_tetrad(d)
-        doc["l"] = _complex_vector(nt.l)
-        doc["l_star"] = _complex_vector(nt.l_star)
-        doc["m"] = _complex_vector(nt.m)
-        doc["n"] = _complex_vector(nt.n)
+        doc.update(zip(("l", "l_star", "m", "n"), map(_complex_vector, tetrad.null_tetrad(d).vectors())))
     print(dumps17(doc))
     return 0
 
@@ -173,6 +143,8 @@ _TAU_ARITY = 3
 
 
 def _parse_op(tokens):
+    """(name, terms) of an --op value: its name and the (coeff, r, s) terms
+    of the tau combination it names."""
     from . import fock
 
     name = tokens[0]
@@ -186,14 +158,14 @@ def _parse_op(tokens):
         # refused here, before the basis is built, with fock's own message
         fock._mode_index(r)
         fock._mode_index(s)
-        return ("tau", r, s)
+        return name, ((1.0, r, s),)
     if len(tokens) == 1 and name in fock.TETRAD_BILINEARS:
-        return (name,)
+        return name, fock.TETRAD_BILINEARS[name]
     known = ", ".join(sorted(fock.TETRAD_BILINEARS)) + ", tau R S"
     raise ValueError(f"unknown operator {' '.join(tokens)!r}; known: {known}")
 
 
-def _classical_expectation(op_spec, g, scale):
+def _classical_expectation(name, terms, g, scale):
     """Analytic prediction for the coherent-state expectation of the operator.
 
     Spatial tetrad components compare against scale^2 times the classical
@@ -203,14 +175,9 @@ def _classical_expectation(op_spec, g, scale):
     """
     from . import fock, spinor, tetrad
 
-    amps = fock.BispinorAmplitudes.from_element(g)
-    if op_spec[0] == "tau":
-        return fock.coherent_bilinear_value(amps, scale, ((1.0, op_spec[1], op_spec[2]),))
-    name = op_spec[0]
-    if name == "t0":
-        return fock.coherent_bilinear_value(amps, scale, fock.TETRAD_BILINEARS["t0"])
-    rt = tetrad.real_tetrad(spinor.dyad_from_element(g))
-    vec = {"z": rt.z, "x": rt.x, "y": rt.y}[name[0]]
+    if name in ("tau", "t0"):
+        return fock.coherent_bilinear_value(fock.BispinorAmplitudes.from_element(g), scale, terms)
+    vec = getattr(tetrad.real_tetrad(spinor.dyad_from_element(g)), name[0])
     return complex(scale * scale * vec[int(name[1])])
 
 
@@ -218,7 +185,7 @@ def _cmd_fock(args) -> int:
     from . import fock, spinor
 
     with _flag("--op"):
-        op_spec = _parse_op(args.op)
+        name, terms = _parse_op(args.op)
     with _flag("--cutoff"):
         space = fock.FockSpace(args.cutoff)
     doc = {
@@ -228,13 +195,8 @@ def _cmd_fock(args) -> int:
         "op": " ".join(args.op),
     }
     if args.matrix:
-        if op_spec[0] == "tau":
-            op = space.tau(op_spec[1], op_spec[2])
-        else:
-            op = fock.tetrad_component(space, op_spec[0])
-        doc["triplets"] = [
-            {"row": r, "col": c, "re": v.real, "im": v.imag} for r, c, v in op.triplets()
-        ]
+        op = space.tau(*terms[0][1:]) if name == "tau" else fock.tetrad_component(space, name)
+        doc["triplets"] = [{"row": r, "col": c, "re": v.real, "im": v.imag} for r, c, v in op.triplets()]
     else:
         a_re, a_im, b_re, b_im, phi, scale = args.expect_coherent
         try:
@@ -244,14 +206,9 @@ def _cmd_fock(args) -> int:
         except fock.TruncationTooLossyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        # the arithmetic of fock.expectation, with no operator built
-        if op_spec[0] == "tau":
-            coefficients = fock._coefficient_matrix(((1.0, op_spec[1], op_spec[2]),))
-            value = complex((coefficients * space.moments(state)).sum())
-        else:
-            row = list(fock.TETRAD_BILINEARS).index(op_spec[0])
-            value = fock.tetrad_expectations(space, state)[row]
-        classical = _classical_expectation(op_spec, g, scale)
+        # sum_rs C_rs M_rs over the state's moments, bit for bit fock.expectation, no operator built
+        value = complex((fock._coefficient_matrix(terms) * space.moments(state)).sum())
+        classical = _classical_expectation(name, terms, g, scale)
         doc["input"] = {"a": _pair(g.a), "b": _pair(g.b), "phi": g.phi, "scale": float(scale)}
         doc["expectation"] = _pair(value)
         doc["classical"] = _pair(classical)

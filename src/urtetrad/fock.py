@@ -26,8 +26,9 @@ patterns and its moments read; of a build it keeps only each pattern's
 indices and indptr.  It keeps the moments and ten values of the last
 state coherent_state made for it, and its bilinear operators hold it.
 
-scipy is imported on the first operator build; the basis, coherent states,
-moments and the bilinear CSR patterns need only numpy.
+Every operator's CSR arrays are written here with numpy; scipy is imported
+only to wrap them (_csr) or a caller's matrix (SparseOperator), so the basis,
+coherent states and moments need only numpy.
 """
 
 from __future__ import annotations
@@ -118,16 +119,12 @@ class SparseOperator:
 
     @staticmethod
     def zero(dimension: int) -> "SparseOperator":
-        from scipy import sparse
-
-        return _own(sparse.csr_array((dimension, dimension), dtype=complex))
+        return _csr(np.zeros(0, complex), np.zeros(0, np.int32), np.zeros(dimension + 1, np.int32))
 
     @staticmethod
     def from_diagonal(values) -> "SparseOperator":
         """The diagonal operator of a 1-D sequence, its int32 CSR arrays
         written here; a zero (-0.0 too) is not stored, NaN is."""
-        from scipy import sparse
-
         values = np.asarray(values, dtype=complex)
         if values.ndim != 1:  # TypeError for a scalar, which has no len()
             raise (ValueError if values.ndim else TypeError)("a diagonal must be 1-D")
@@ -135,8 +132,7 @@ class SparseOperator:
         indptr = np.zeros(len(values) + 1, dtype=np.int32)
         indptr[1:] = nonzero
         indptr.cumsum(out=indptr)
-        data = (values[nonzero], np.flatnonzero(nonzero).astype(np.int32), indptr)
-        return _own(sparse.csr_array(data, shape=(len(values),) * 2))
+        return _csr(values[nonzero], np.flatnonzero(nonzero).astype(np.int32), indptr)
 
     @property
     def dimension(self) -> int:
@@ -223,6 +219,14 @@ def _own(mat) -> SparseOperator:
     op = object.__new__(SparseOperator)
     object.__setattr__(op, "_mat", _frozen_csr(mat))
     return op
+
+
+def _csr(data, indices, indptr) -> SparseOperator:
+    """The square operator of CSR arrays written here, len(indptr) - 1 on a
+    side; scipy picks the stored index dtype from theirs."""
+    from scipy import sparse
+
+    return _own(sparse.csr_array((data, indices, indptr), shape=(len(indptr) - 1,) * 2))
 
 
 class BilinearOperator(SparseOperator):
@@ -454,14 +458,11 @@ class FockSpace:
         k = _mode_index(r)
         if self.cutoff == 0:  # nothing to lower; int32 like every empty operator
             return SparseOperator.zero(self.dimension)
-        from scipy import sparse
-
         positions, weights = self._lowering()
         # an int64 indptr makes scipy store the int32 positions as int64
         # too, the index dtype the pinned ladder bytes hold
         indptr = np.minimum(np.arange(self.dimension + 1, dtype=np.int64), positions.shape[1])
-        data = (weights[k].astype(complex), positions[k], indptr)
-        return _own(sparse.csr_array(data, shape=(self.dimension, self.dimension)))
+        return _csr(weights[k].astype(complex), positions[k], indptr)
 
     def creator(self, r: int) -> SparseOperator:
         """a_r^+, the adjoint of a_r.  Annihilates the top total-quanta shell."""
@@ -537,14 +538,12 @@ class FockSpace:
         elif self.cutoff == 0:  # no quantum moves; int32 like the ladder products
             ops = [SparseOperator.zero(self.dimension) for _ in members]
         else:
-            from scipy import sparse
-
             order, indices, indptr, term, roots = self._pattern(pairs)
             ops = []
             for c in coefficients:
                 data = np.take([c[kj] for kj in order], term)
                 data *= roots
-                ops.append(_own(sparse.csr_array((data, indices, indptr), shape=(self.dimension,) * 2)))
+                ops.append(_csr(data, indices, indptr))
         return [BilinearOperator(op, self, c, row) for op, c, (_, row) in zip(ops, coefficients, members)]
 
     def moments(self, state) -> np.ndarray:

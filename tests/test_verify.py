@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from urtetrad import fock, spinor, tetrad
-from urtetrad.cli import main
+from urtetrad import fock, spinor, tetrad, verify
+from urtetrad.cli import dumps17, main
 from urtetrad.verify import run_verification
 
 NAN = float("nan")
@@ -191,3 +191,10 @@ def test_verify_stdout_pinned(capsys, argv):
     assert main(["verify", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_PINS[argv]
+
+
+def test_tetrad_suite_blocks_leave_the_report_unchanged(monkeypatch):
+    default = dumps17(run_verification("tetrad", samples=100, seed=4))
+    # 100 = 14 * 7 + 2, so the last block is ragged
+    monkeypatch.setattr(verify, "_TETRAD_BLOCK", 7)
+    assert dumps17(run_verification("tetrad", samples=100, seed=4)) == default
