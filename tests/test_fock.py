@@ -738,6 +738,32 @@ def test_ladder_operators_pinned():
     assert digest.hexdigest() == LADDER_CSR_SHA256
 
 
+# sha256 over the data bytes and the int64-cast indices and indptr of the
+# ladder pin's operators at cutoffs 0..12, and of the 16 tau(r, s) and the
+# ten components at cutoffs 0..12 and 30: the entries and their places,
+# whatever the stored index dtype; recorded while the ladders stored int64
+# indices and the diagonal operators int32
+CSR_ENTRIES_SHA256 = "1532c6573de60328649e3b98fcfb387924cc79fc035fb452276e3ea0e1552135"
+
+
+def test_operator_entries_pinned_whatever_the_index_dtype():
+    digest = hashlib.sha256()
+    for cutoff in (*range(13), 30):
+        space = FockSpace(cutoff)
+        ops = []
+        if cutoff <= 12:
+            ann = [space.annihilator(r) for r in MODES]
+            cre = [space.creator(r) for r in MODES]
+            ops += ann + cre + [c @ a for c in cre for a in ann]
+        ops += [space.tau(r, s) for r in MODES for s in MODES]
+        ops += [tetrad_component(space, name) for name in TETRAD_BILINEARS]
+        for op in ops:
+            mat = op.matrix
+            for part in (mat.data, mat.indices.astype(np.int64), mat.indptr.astype(np.int64)):
+                digest.update(part.tobytes())
+    assert digest.hexdigest() == CSR_ENTRIES_SHA256
+
+
 def _digest_parts(digest, *parts):
     for part in parts:
         digest.update(str(part.dtype).encode())
