@@ -24,11 +24,13 @@ one lowering table, a_r |m + e_r> = sqrt(m_r + 1) |m>, ranked in closed
 form from the basis order, which its ladder operators, its bilinears'
 patterns and its moments read; of a build it keeps only each pattern's
 indices and indptr.  It keeps the moments and ten values of the last
-state coherent_state made for it, and its bilinear operators hold it.
+state coherent_state made for it, which every reader gets through
+FockSpace._entry, and its bilinear operators hold it.
 
-Every operator's CSR arrays are written here with numpy; scipy is imported
-only to wrap them (_csr) or a caller's matrix (SparseOperator), so the basis,
-coherent states and moments need only numpy.
+Every operator's CSR arrays are written here with numpy, with int32 indices
+and indptr (MAX_STATES < 2**31); scipy is imported only to wrap them (_csr)
+or a caller's matrix (SparseOperator), so the basis, coherent states and
+moments need only numpy.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ def _own(mat) -> SparseOperator:
 
 def _csr(data, indices, indptr) -> SparseOperator:
     """The square operator of CSR arrays written here, len(indptr) - 1 on a
-    side; scipy picks the stored index dtype from theirs."""
+    side; the builders write int32 indices and indptr, which scipy keeps."""
     from scipy import sparse
 
     return _own(sparse.csr_array((data, indices, indptr), shape=(len(indptr) - 1,) * 2))
@@ -393,10 +395,11 @@ class FockSpace:
             self._lowered = positions, weights
         return self._lowered
 
-    def _entry(self, state: np.ndarray) -> tuple:
-        """(state, its moments, its ten tetrad values) of a complex state
-        whose shape the caller has checked: the kept entry when state is the
-        kept state, else computed and not kept.
+    def _entry(self, state) -> tuple:
+        """(state, its moments, its ten tetrad values): the kept entry, before
+        any shape check, when state is the kept state; else computed, not
+        kept, from state as a complex (dimension,) array (DimensionMismatchError
+        for any other shape).
 
         In normal order, M_rs = <a_r psi | a_s psi> + delta_rs |psi|^2 / 2,
         so M is the 4x4 Gram matrix of the four lowered vectors, gathered
@@ -408,7 +411,7 @@ class FockSpace:
         memo = self._memo
         if memo is not None and state is memo[0]:
             return memo
-        state = np.ascontiguousarray(state)
+        state = np.ascontiguousarray(_as_state(state, self.dimension))
         positions, weights = self._lowering()
         moments = np.zeros((N_MODES, N_MODES), dtype=complex)
         for start in range(0, positions.shape[1], _MOMENT_BLOCK):
@@ -456,12 +459,8 @@ class FockSpace:
         shell's rows are empty.
         """
         k = _mode_index(r)
-        if self.cutoff == 0:  # nothing to lower; int32 like every empty operator
-            return SparseOperator.zero(self.dimension)
         positions, weights = self._lowering()
-        # an int64 indptr makes scipy store the int32 positions as int64
-        # too, the index dtype the pinned ladder bytes hold
-        indptr = np.minimum(np.arange(self.dimension + 1, dtype=np.int64), positions.shape[1])
+        indptr = np.minimum(np.arange(self.dimension + 1, dtype=np.int32), positions.shape[1])
         return _csr(weights[k].astype(complex), positions[k], indptr)
 
     def creator(self, r: int) -> SparseOperator:
@@ -488,7 +487,7 @@ class FockSpace:
     def _pattern(self, pairs):
         """One pass over the basis for the sums of a_k^+ a_j over a frozenset
         of (k, j) pairs (0-based, k != j): the pairs in column order, the
-        canonical CSR pattern (read-only int64 indices and indptr) and each
+        canonical CSR pattern (read-only int32 indices and indptr) and each
         entry's pair and value.  The space keeps the first three under the
         set, for the operators to share; the per-entry scratch it does not.
 
@@ -502,11 +501,12 @@ class FockSpace:
         positions, weights = self._lowering()
         # row n holds an entry of a_k^+ a_j when n_k > 0
         present = [self.occupations[:, k] > 0 for k, _ in order]
-        indptr = np.zeros(self.dimension + 1, dtype=np.int64)
+        indptr = np.zeros(self.dimension + 1, dtype=np.int32)
         np.cumsum(sum(p.view(np.int8) for p in present), out=indptr[1:])
-        # each row's place for the next term
-        place = indptr[:-1].copy()
-        indices = np.empty(indptr[-1], dtype=np.int64)
+        # each row's place for the next term; intp, so the destinations it
+        # gives index three arrays without a conversion each
+        place = indptr[:-1].astype(np.intp)
+        indices = np.empty(indptr[-1], dtype=np.int32)
         term = np.empty(indptr[-1], dtype=np.int8)
         roots = np.empty(indptr[-1])
         for t, ((k, j), p) in enumerate(zip(order, present)):
@@ -535,8 +535,6 @@ class FockSpace:
                 real = not any(complex(c).imag for c, _, _ in terms)
                 values = sum((complex(c).real if real else complex(c)) * shifted[r] for c, r, _ in terms)
                 ops.append(SparseOperator.from_diagonal(values))
-        elif self.cutoff == 0:  # no quantum moves; int32 like the ladder products
-            ops = [SparseOperator.zero(self.dimension) for _ in members]
         else:
             order, indices, indptr, term, roots = self._pattern(pairs)
             ops = []
@@ -554,7 +552,7 @@ class FockSpace:
         so the operators evaluated on it share them; any other state's are
         computed on each call.
         """
-        return self._entry(_as_state(state, self.dimension))[1]
+        return self._entry(state)[1]
 
     def tau(self, r: int, s: int) -> BilinearOperator:
         """Symmetrized bilinear (1/2){a_r^+, a_s} projected to the truncated basis.
@@ -730,21 +728,17 @@ def coherent_bilinear_value(amps: BispinorAmplitudes, scale: float, terms) -> co
 def expectation(op: SparseOperator, state) -> complex:
     """<state| op |state>; real up to rounding when op is Hermitian.
 
-    A tetrad component returns its value among the ten its space computes
-    with the state's moments (see tetrad_expectations); passed the state
-    coherent_state made last for that space, it returns the kept value
-    before checking the shape, which was checked when the state was made.
+    A tetrad component returns its value among the ten its space's _entry
+    gives for the state (see tetrad_expectations): for the state
+    coherent_state made last for that space, the kept value, before any
+    shape check.
     Any other BilinearOperator (tau and its combinations) contracts its
     coefficients with its space's moments of the state; any other operator
     multiplies the state.  An operator with no entries gives 0.
     """
     bilinear = isinstance(op, BilinearOperator)
     if bilinear and op._row is not None:
-        memo = op._space._memo
-        # coherent_state made the kept state with the space's shape
-        if memo is not None and state is memo[0]:
-            return memo[2][op._row]
-        return op._space._entry(_as_state(state, op.dimension))[2][op._row]
+        return op._space._entry(state)[2][op._row]
     state = _as_state(state, op.dimension)
     if not op.nnz:
         return 0j
@@ -762,4 +756,4 @@ def tetrad_expectations(space: FockSpace, state) -> tuple:
     component has no entries (the spatial ones at cutoff 0) expectation
     gives exactly 0j instead.
     """
-    return space._entry(_as_state(state, space.dimension))[2]
+    return space._entry(state)[2]

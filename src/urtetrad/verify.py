@@ -259,17 +259,15 @@ def run_verification(
 
     The report is deterministic for fixed arguments; the overall pass flag
     is the conjunction of the per-record flags.  Raises ValueError for an
-    unknown suite, samples < 1, a negative seed, a cutoff that is not a
-    nonnegative integer or a tolerance that is negative or not finite.
+    unknown suite, samples below 1, a seed or cutoff below 0, any of the
+    three not an integer, or a tolerance that is negative or not finite.
     """
     if suite not in (*_SUITES, "all"):
         raise ValueError(f"suite must be one of {(*_SUITES, 'all')}")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed!r}")
-    if not (0 <= cutoff < math.inf and cutoff % 1 == 0):
-        raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
+    for name, count, least in (("samples", samples, 1), ("seed", seed, 0), ("cutoff", cutoff, 0)):
+        if not (least <= count < math.inf and count % 1 == 0):
+            raise ValueError(f"{name} must be an integer of at least {least}, got {count!r}")
+    samples, seed, cutoff = int(samples), int(seed), int(cutoff)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     rng = np.random.default_rng(seed)
@@ -281,11 +279,11 @@ def run_verification(
     return {
         "command": "verify",
         "suite": suite,
-        "samples": int(samples),
-        "seed": int(seed),
+        "samples": samples,
+        "seed": seed,
         "tolerance": float(tol),
         "classical_tolerance": _CLASSICAL,
-        "cutoff": int(cutoff),
+        "cutoff": cutoff,
         "records": records,
         "pass": all(r["pass"] for r in records),
     }

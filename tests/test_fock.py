@@ -315,7 +315,7 @@ def test_a_built_space_keeps_no_per_entry_scratch():
     assert len(space._patterns) == 3
     kept = [space.occupations, *space._lowering()]
     for order, indices, indptr in space._patterns.values():
-        assert indices.dtype == indptr.dtype == np.int64
+        assert indices.dtype == indptr.dtype == np.int32
         assert not indices.flags.writeable and not indptr.flags.writeable
         assert len(order) == 4 and indices.size == indptr[-1] == 4 * space._lowering()[0].shape[1]
         kept += [indices, indptr]
@@ -328,6 +328,20 @@ def test_a_built_space_keeps_no_per_entry_scratch():
         if isinstance(array, np.ndarray)
     ]
     assert sorted(map(id, held)) == sorted(map(id, kept))
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 4, 30])
+def test_every_built_operator_stores_int32_indices(cutoff):
+    space = FockSpace(cutoff)
+    ann = [space.annihilator(r) for r in MODES]
+    cre = [space.creator(r) for r in MODES]
+    ops = [*ann, *cre, *(c @ a for c in cre for a in ann), space.identity(), space.total_quanta()]
+    ops += [space.tau(r, s) for r in MODES for s in MODES]
+    ops += [tetrad_component(space, name) for name in TETRAD_BILINEARS]
+    ops += [op for _, op in operator_tetrad(space).components()]
+    ops += [SparseOperator.zero(space.dimension), ann[0] + cre[1], ann[0] - cre[1], 2 * ann[2], ann[3].dagger()]
+    for op in ops:
+        assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int32, op
 
 
 def test_a_diagonal_term_with_an_imaginary_coefficient_is_kept():
@@ -694,8 +708,10 @@ MATRIX_OUTPUT_SHA256 = {
 }
 
 # sha256 over data, indices and indptr bytes of the ten components at cutoff
-# 30, in TETRAD_BILINEARS order, recorded at the same time
-CUTOFF30_CSR_SHA256 = "9370824b4af21f2aaadc552959c14af9c61e55b13dd9595a32f3efdb9c2109af"
+# 30, in TETRAD_BILINEARS order, recorded at the same time and re-recorded
+# once when every built operator came to store int32 indices and indptr
+# (CSR_ENTRIES_SHA256 shows the entries did not move)
+CUTOFF30_CSR_SHA256 = "e2009876a866e006469db8e243c4395647aeeb2707d9bdb46359ade72b69d6e3"
 
 
 @pytest.mark.parametrize("op", sorted(MATRIX_OUTPUT_SHA256))
@@ -719,8 +735,9 @@ def test_cutoff30_components_pinned():
 
 # sha256 over the dtype, data, indices and indptr bytes of a_r, a_r^+ and the
 # 16 products a_r^+ a_s at cutoffs 0..12, recorded before the ladder
-# operators were read from the moments' lowering table
-LADDER_CSR_SHA256 = "c01a25b321991de5cfde0a877dcd65b748eecd983d02a062627e5dc17066d7ac"
+# operators were read from the moments' lowering table and re-recorded once
+# when they came to store int32 indices and indptr
+LADDER_CSR_SHA256 = "5c20a8982deed20d6a324c163e62d3935c2ddb6dc9c721871b8145790245717d"
 
 
 def test_ladder_operators_pinned():
@@ -1049,6 +1066,10 @@ def _no_lowering(self):
     raise AssertionError("the moments were computed again")
 
 
+def _no_shape_check(state, dimension):
+    raise AssertionError("the kept state's shape was checked again")
+
+
 def test_components_of_one_coherent_state_share_one_moment_matrix(monkeypatch):
     space = FockSpace(4)
     comps = [tetrad_component(space, name) for name in TETRAD_BILINEARS]
@@ -1061,6 +1082,11 @@ def test_components_of_one_coherent_state_share_one_moment_matrix(monkeypatch):
     values = [first] + [expectation(op, state) for op in comps[1:]]
     for op, value in zip(comps, values):
         assert abs(value - np.vdot(state, op.matrix @ state)) < 1e-12
+    # every reader returns the kept entry before it would check the shape
+    monkeypatch.setattr(fock, "_as_state", _no_shape_check)
+    assert space.moments(state) is space._memo[1]
+    assert tetrad_expectations(space, state) is space._memo[2]
+    assert [expectation(op, state) for op in comps] == values
 
 
 def _assert_recomputed_as_kept(monkeypatch, space, copies):

@@ -163,7 +163,9 @@ def test_nan_deviation_fails_cli_with_json(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("tol", NAN), ("tol", float("inf")), ("tol", -1.0), ("cutoff", -1), ("cutoff", 2.5)],
+    [("tol", NAN), ("tol", float("inf")), ("tol", -1.0), ("cutoff", -1), ("cutoff", 2.5),
+     ("samples", 2.5), ("samples", NAN), ("samples", float("inf")),
+     ("seed", 1.5), ("seed", NAN), ("seed", float("inf"))],
 )
 def test_run_verification_rejects_bad_input(flag, value):
     with pytest.raises(ValueError, match=flag):
