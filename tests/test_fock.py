@@ -309,6 +309,21 @@ def test_a_component_built_alone_matches_its_class(cutoff):
     assert _owner(again.indptr) is _owner(first.indptr)
 
 
+@pytest.mark.parametrize("cutoff", [0, 1, 4, 30])
+def test_every_tetrad_slot_is_its_component_or_empty(cutoff):
+    space = FockSpace(cutoff)
+    slots = dict(operator_tetrad(space).components())
+    assert list(slots) == [f"{v}{mu}" for v in "tzxy" for mu in range(4)]
+    for label, op in slots.items():
+        assert op.dimension == space.dimension, label
+        if label not in TETRAD_BILINEARS:
+            assert op.nnz == 0, label
+            continue
+        alone, built = tetrad_component(space, label).matrix, op.matrix
+        for part in ("data", "indices", "indptr"):
+            assert getattr(alone, part).tobytes() == getattr(built, part).tobytes(), (label, part)
+
+
 def test_a_built_space_keeps_no_per_entry_scratch():
     space = FockSpace(30)
     operator_tetrad(space)
