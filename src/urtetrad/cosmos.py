@@ -47,12 +47,15 @@ class ExpansionModel:
 
 
 def radius_at(model: ExpansionModel, epoch: float) -> float:
-    """Curvature radius at the given epoch; strictly increasing in the epoch."""
+    """Curvature radius at the given epoch, strictly increasing in it; ValueError if it overflows."""
     if not math.isfinite(epoch):
         raise ValueError(f"epoch must be finite, got {epoch!r}")
     if epoch < 0.0:
         raise NegativeEpochError(f"epoch must be nonnegative, got {epoch!r}")
-    return model.r0 + model.c * epoch
+    radius = model.r0 + model.c * epoch
+    if not math.isfinite(radius):
+        raise ValueError(f"radius at epoch {epoch!r} overflows to {radius!r}")
+    return radius
 
 
 def ur_count_reference() -> float:

@@ -10,9 +10,9 @@ violated only on the top shell, where creation leaves the space.
 Every operator built here is the projection of the untruncated operator
 onto the truncated basis.  For the symmetrized bilinears
 tau_rs = (1/2){a_r^+, a_s} that distinction matters: the literal product
-of truncated factors would corrupt the top shell, so the bilinears are
-assembled in normal-ordered form, which is shell-preserving and therefore
-projects exactly.
+of truncated factors would corrupt the top shell, so each bilinear is
+built from its 4x4 coefficient matrix C alone in normal-ordered form,
+which is shell-preserving and therefore projects exactly.
 
 Expectations of the bilinears do not multiply by their matrices: every
 tau_rs combination is linear in the 16 moments <tau_rs> of the state
@@ -279,6 +279,11 @@ def _coefficient_matrix(terms) -> np.ndarray:
     return coefficients
 
 
+def _pairs(coefficients) -> frozenset:
+    """The (k, j) pairs, 0-based, where a 4x4 C is nonzero."""
+    return frozenset(divmod(k, N_MODES) for k in np.flatnonzero(coefficients).tolist())
+
+
 def _occupations(cutoff: int) -> np.ndarray:
     """Basis rows (n1, n2, n3, n4): total-quanta-major, then lexicographic.
 
@@ -521,28 +526,25 @@ class FockSpace:
         return (*self._patterns.setdefault(pairs, (order, indices, indptr)), term, roots)
 
     def _bilinears(self, members) -> list:
-        """Per (terms, row) member, the sum of coeff * tau_rs over its (coeff, r, s)
-        terms, row its row of TETRAD_COEFFICIENTS or None.  The members share
-        one set of (r, s) pairs, all with r == s or all with r != s, which one
-        pass over the basis builds.  tau_rr is n_r + 1/2; for r != s, tau_rs
-        is a_r^+ a_s, which keeps the total, as the untruncated operator."""
-        coefficients = [_coefficient_matrix(t) if row is None else TETRAD_COEFFICIENTS[row] for t, row in members]
-        pairs = frozenset((r - 1, s - 1) for _, r, s in members[0][0])
+        """Per (C, row) member, sum_rs C[r-1, s-1] tau_rs, row its row of
+        TETRAD_COEFFICIENTS or None.  The members' C share one nonzero
+        pattern, all on the diagonal or all off it, which one pass builds.
+        tau_rr is n_r + 1/2, so a diagonal C gives sum_k C_kk (n_k + 1/2),
+        exact for the dyadic C built here; for r != s, tau_rs is a_r^+ a_s, which
+        keeps the total, as the untruncated operator."""
+        pairs = _pairs(members[0][0])
         if all(k == j for k, j in pairs):
-            shifted, ops = {r: self.occupations[:, r - 1] + 0.5 for _, r, _ in members[0][0]}, []
-            for terms, _ in members:
-                # in term order, as the tau matrices add; real unless a coefficient is not
-                real = not any(complex(c).imag for c, _, _ in terms)
-                values = sum((complex(c).real if real else complex(c)) * shifted[r] for c, r, _ in terms)
-                ops.append(SparseOperator.from_diagonal(values))
+            # complex once, not in each product: a float @ complex matmul casts on every call
+            shifted = self.occupations + (0.5 + 0j)
+            ops = [SparseOperator.from_diagonal(shifted @ c.diagonal()) for c, _ in members]
         else:
             order, indices, indptr, term, roots = self._pattern(pairs)
             ops = []
-            for c in coefficients:
+            for c, _ in members:
                 data = np.take([c[kj] for kj in order], term)
                 data *= roots
                 ops.append(_csr(data, indices, indptr))
-        return [BilinearOperator(op, self, c, row) for op, c, (_, row) in zip(ops, coefficients, members)]
+        return [BilinearOperator(op, self, c, row) for op, (c, row) in zip(ops, members)]
 
     def moments(self, state) -> np.ndarray:
         """Read-only (4, 4) moments M[r-1, s-1] = <state| tau_rs |state>,
@@ -560,9 +562,9 @@ class FockSpace:
         Built in normal-ordered form: a_r^+ a_s plus 1/2 on the diagonal
         when r == s.  The normal-ordered product preserves the total-quanta
         shell, so it equals the projection of the untruncated operator;
-        its entries are written out directly from the occupations.
+        it is built from its coefficient matrix, 1 at (r, s) and 0 elsewhere.
         """
-        return self._bilinears([(((1.0, r, s),), None)])[0]
+        return self._bilinears([(_coefficient_matrix(((1.0, r, s),)), None)])[0]
 
 
 @dataclass(frozen=True)
@@ -605,9 +607,9 @@ TETRAD_BILINEARS = {
 TETRAD_COEFFICIENTS = np.array([_coefficient_matrix(terms) for terms in TETRAD_BILINEARS.values()])
 TETRAD_COEFFICIENTS.setflags(write=False)
 _TETRAD_ROWS = {name: row for row, name in enumerate(TETRAD_BILINEARS)}
-# The mode-pair classes, {t0, z3}, {z1, z2}, {x1, x2, y1, y2} and {x3, y3}
-_PAIRS = {name: frozenset((r, s) for _, r, s in terms) for name, terms in TETRAD_BILINEARS.items()}
-_TETRAD_CLASSES = [[name for name in _PAIRS if _PAIRS[name] == pairs] for pairs in dict.fromkeys(_PAIRS.values())]
+# The mode-pair classes, {t0, z3}, {z1, z2}, {x1, x2, y1, y2} and {x3, y3}, as rows
+_TETRAD_CLASSES = [[row for row, c in enumerate(TETRAD_COEFFICIENTS) if _pairs(c) == pairs]
+                   for pairs in dict.fromkeys(map(_pairs, TETRAD_COEFFICIENTS))]
 
 
 def _tetrad_values(moments: np.ndarray) -> tuple:
@@ -622,7 +624,7 @@ def tetrad_component(space: FockSpace, name: str) -> BilinearOperator:
         row = _TETRAD_ROWS[name]
     except KeyError:
         raise ValueError(f"unknown tetrad component {name!r}") from None
-    return space._bilinears([(TETRAD_BILINEARS[name], row)])[0]
+    return space._bilinears([(TETRAD_COEFFICIENTS[row], row)])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -650,14 +652,10 @@ def operator_tetrad(space: FockSpace) -> OperatorTetrad:
     One pass builds each mode-pair class; its scratch goes before the next."""
     zero = SparseOperator.zero(space.dimension)
     comp = {}
-    for names in _TETRAD_CLASSES:
-        comp.update(zip(names, space._bilinears([(TETRAD_BILINEARS[n], _TETRAD_ROWS[n]) for n in names])))
-    return OperatorTetrad(
-        t_hat=(comp["t0"], zero, zero, zero),
-        z_hat=(zero, comp["z1"], comp["z2"], comp["z3"]),
-        x_hat=(zero, comp["x1"], comp["x2"], comp["x3"]),
-        y_hat=(zero, comp["y1"], comp["y2"], comp["y3"]),
-    )
+    for rows in _TETRAD_CLASSES:
+        comp.update(zip(rows, space._bilinears([(TETRAD_COEFFICIENTS[row], row) for row in rows])))
+    # the slot components() labels v + mu holds that component, if there is one
+    return OperatorTetrad(*(tuple(comp.get(_TETRAD_ROWS.get(f"{v}{mu}"), zero) for mu in range(4)) for v in "tzxy"))
 
 
 def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> np.ndarray:

@@ -77,7 +77,7 @@ def _on_sphere(label: str, w: float, x: float, y: float, z: float) -> tuple:
 
 
 def _wrap_phase(phi: float) -> float:
-    phi = math.fmod(phi, _TWO_PI)
+    phi = math.fmod(phi, _TWO_PI) + 0.0  # + 0.0 turns -0.0 into 0.0
     if phi < 0.0:
         phi += _TWO_PI
     if phi >= _TWO_PI:  # fmod rounding can land exactly on 2*pi

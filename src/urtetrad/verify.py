@@ -132,10 +132,8 @@ def _tetrad_block(rng, samples, first):
     rt_neg = tetrad._real_tetrad(tetrad._null_tetrad(u_neg, v_neg))
     polynomials = tetrad.real_tetrad_polynomials(q)
     rot = rt.dreibein()
-    # (l, l*, m, n) are the bilinears of (v, u), (u, v), (v, v) and (u, u)
-    ph = np.array(phases)[:, None, None]
-    phased = tetrad.pauli_bilinear(ph * np.stack([v, u, v, u], axis=1),
-                                   ph * np.stack([u, v, v, u], axis=1))
+    ph = np.array(phases)[:, None]
+    phased = _frame(tetrad._null_tetrad(ph * u, ph * v))
     tangent = np.stack(tetrad.tangent_frame_at(q), axis=-2)
     ident = tetrad.real_tetrad(spinor.dyad_from_element(spinor.GroupElement(1.0, 0.0))) if first else None
     return {

@@ -409,6 +409,19 @@ def test_cosmos_nonfinite_exit2(capsys, argv):
     assert err.startswith(f"error: {flag}: ") and "finite" in err
 
 
+def test_cosmos_overflowing_radius_exit2(capsys):
+    code, out, err = run_cli(capsys, "cosmos", "--r0", "1", "--c", "1e308", "--epoch", "1e308")
+    assert (code, out) == (2, "")
+    assert err == "error: --epoch: radius at epoch 1e+308 overflows to inf\n"
+
+
+def test_negative_zero_phase_prints_as_zero(capsys):
+    args = ["tetrad", "--quat", "1", "0", "0", "0", "--null", "--phi"]
+    negative, zero = run_cli(capsys, *args, "-0"), run_cli(capsys, *args, "0")
+    assert negative == zero and negative[0] == 0
+    assert '"phi":0,' in negative[1]
+
+
 def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "urtetrad", "cosmos", "--r0", "1", "--c", "1", "--epoch", "2"],

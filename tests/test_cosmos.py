@@ -55,6 +55,12 @@ def test_nonfinite_epoch_rejected(epoch):
         radius_at(ExpansionModel(1.0, 1.0), epoch)
 
 
+@pytest.mark.parametrize("r0, c, epoch", [(1.0, 1e308, 1e308), (1.7e308, 1.0, 1e308), (0.0, 2.0, 1.7e308)])
+def test_overflowing_radius_rejected(r0, c, epoch):
+    with pytest.raises(ValueError, match="overflows"):
+        radius_at(ExpansionModel(r0, c), epoch)
+
+
 def test_ur_count_reference():
     assert ur_count_reference() == 1e120
     assert UR_COUNT_REFERENCE == 1e120

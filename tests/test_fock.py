@@ -362,7 +362,7 @@ def test_every_built_operator_stores_int32_indices(cutoff):
 def test_a_diagonal_term_with_an_imaginary_coefficient_is_kept():
     space = FockSpace(4)
     for terms in (((0.5j, 1, 1), (0.25, 2, 2), (-1.5 + 0.5j, 4, 4)), ((1j, 3, 3),), ((2.0, 2, 2), (-0.5j, 2, 2))):
-        op = space._bilinears([(terms, None)])[0]
+        op = space._bilinears([(fock._coefficient_matrix(terms), None)])[0]
         want = SparseOperator.from_diagonal(
             sum(complex(c) * (space.occupations[:, r - 1] + 0.5) for c, r, _ in terms)
         ).matrix

@@ -153,6 +153,8 @@ def test_phase_wrapping():
     assert GroupElement(1, 0, 7.0).phi == pytest.approx(7.0 - 2 * math.pi)
     phi = GroupElement(1, 0, -1e-20).phi
     assert 0.0 <= phi < 2 * math.pi
+    # one spelling of the zero phase
+    assert math.copysign(1, GroupElement(1, 0, -0.0).phi) == 1
 
 
 def test_to_quaternion_identity():
