@@ -508,6 +508,38 @@ def test_sparse_operator_triplets_row_major():
     assert trips == sorted(trips, key=lambda t: (t[0], t[1]))
 
 
+@pytest.mark.parametrize("cutoff", [0, 1, 4])
+def test_triplets_are_python_scalars_of_the_coo_arrays(cutoff):
+    space = FockSpace(cutoff)
+    ops = [space.annihilator(r) for r in MODES] + [space.creator(r) for r in MODES]
+    ops += [tetrad_component(space, name) for name in TETRAD_BILINEARS]
+    for op in ops:
+        coo, trips = op.matrix.tocoo(), op.triplets()
+        assert [(r, c) for r, c, _ in trips] == list(zip(coo.row.tolist(), coo.col.tolist()))
+        # bit for bit, the sign of a zero part included
+        assert np.array([v for _, _, v in trips], dtype=complex).tobytes() == coo.data.tobytes()
+        assert all(type(r) is int and type(c) is int and type(v) is complex for r, c, v in trips)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 4, 8])
+def test_hermiticity_defect_is_the_dense_adjoint_gap(cutoff):
+    space = FockSpace(cutoff)
+    ops = [space.annihilator(r) for r in MODES]
+    ops.append(space.annihilator(1) + 2j * space.creator(2))
+    for op in ops:
+        dense = op.to_dense()
+        defect = op.hermiticity_defect()
+        assert type(defect) is float and defect == np.abs(dense - dense.conj().T).max()
+    zero = SparseOperator.zero(space.dimension).hermiticity_defect()
+    assert type(zero) is float and zero == 0.0
+
+
+def test_tetrad_bilinears_are_t0_then_the_spatial_frame_rows():
+    # verify's classical limit compares the spatial columns with the real
+    # frame's (z, x, y) rows times columns 1..3, in this order
+    assert list(TETRAD_BILINEARS) == ["t0"] + [f"{v}{i}" for v in "zxy" for i in (1, 2, 3)]
+
+
 def test_sparse_operator_algebra():
     eye = SparseOperator.identity(3)
     twice = eye + eye
