@@ -8,16 +8,12 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "SPATIAL_CURVATURE",
     "UR_COUNT_REFERENCE",
     "NegativeEpochError",
     "ExpansionModel",
     "radius_at",
     "ur_count_reference",
 ]
-
-# the spatial model is the closed 3-sphere
-SPATIAL_CURVATURE = 1.0
 
 # reference number of urs at the present epoch; a quoted estimate, not a
 # derived quantity

@@ -152,10 +152,7 @@ class SparseOperator:
     def triplets(self):
         """Row-major list of (row, col, value) for all stored entries."""
         coo = self._mat.tocoo()
-        return [
-            (int(r), int(c), complex(v))
-            for r, c, v in zip(coo.row, coo.col, coo.data)
-        ]
+        return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
 
     def to_dense(self) -> np.ndarray:
         return self._mat.toarray()
@@ -167,8 +164,7 @@ class SparseOperator:
         return _own(self._mat.conj().T.tocsr())
 
     def hermiticity_defect(self) -> float:
-        diff = self._mat - self._mat.conj().T
-        return float(np.abs(diff.data).max()) if diff.nnz else 0.0
+        return (self - self.dagger()).max_abs()
 
     def max_abs(self, columns=None) -> float:
         """Largest entry magnitude, optionally restricted to a column subset."""
@@ -265,9 +261,11 @@ class BilinearOperator(SparseOperator):
 
 
 def _mode_index(r: int) -> int:
+    """The 0-based index of mode r, an integer 1..4 (2.0 reads as 2);
+    anything else raises BadModeError."""
     if r not in (1, 2, 3, 4):
         raise BadModeError(f"mode index {r!r} outside 1..{N_MODES}")
-    return r - 1
+    return int(r) - 1
 
 
 def _coefficient_matrix(terms) -> np.ndarray:
@@ -715,11 +713,14 @@ def coherent_bilinear_value(amps: BispinorAmplitudes, scale: float, terms) -> co
 
     For coherent amplitudes alpha_r, <tau_rs> = conj(alpha_r) alpha_s plus
     the zero-point 1/2 on the diagonal; truncation error is not included.
+    The modes r and s of each (coeff, r, s) term are integers 1..4; anything
+    else raises BadModeError.
     """
     alphas = float(scale) * amps.as_array()
     total = 0.0 + 0.0j
     for coeff, r, s in terms:
-        total += coeff * (np.conj(alphas[r - 1]) * alphas[s - 1] + (0.5 if r == s else 0.0))
+        moment = np.conj(alphas[_mode_index(r)]) * alphas[_mode_index(s)]
+        total += coeff * (moment + (0.5 if r == s else 0.0))
     return complex(total)
 
 

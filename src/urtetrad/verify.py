@@ -231,14 +231,12 @@ def _fock(rng, samples, cutoff):
         phased = fock.BispinorAmplitudes(*(ph * amps.as_array()))
         values_ph.append(fock.tetrad_expectations(space, fock.coherent_state(space, phased, scale)))
     u, v = np.moveaxis(np.array(spinors), 1, 0)
-    rt = tetrad._real_tetrad(tetrad._null_tetrad(u, v))
-    axes = {"z": rt.z, "x": rt.x, "y": rt.y}
+    frame = _frame(tetrad._real_tetrad(tetrad._null_tetrad(u, v)))
     values, values_ph = np.array(values), np.array(values_ph)
-    columns = dict(zip(fock.TETRAD_BILINEARS, values.T))
     s2 = scale * scale
-    spatial = [col - s2 * axes[n[0]][:, int(n[1])] for n, col in columns.items() if n != "t0"]
-    devs["classical_limit_spatial"] = _worst_part(np.transpose(spatial))
-    devs["classical_limit_time"] = _worst_part(columns["t0"] - (2.0 + 2.0 * s2))
+    # TETRAD_BILINEARS lists t0, then the frame's (z, x, y) rows times columns 1..3
+    devs["classical_limit_spatial"] = _worst_part(values[:, 1:] - s2 * frame[:, 1:, 1:].reshape(samples, 9))
+    devs["classical_limit_time"] = _worst_part(values[:, 0] - (2.0 + 2.0 * s2))
     devs["coherent_phase_covariance"] = _worst(values - values_ph)
     return devs
 

@@ -111,6 +111,27 @@ def test_bad_mode():
             vacuum.annihilator(r)
 
 
+@pytest.mark.parametrize("cutoff", [0, 4])
+def test_an_integral_float_mode_is_that_mode(cutoff):
+    space = FockSpace(cutoff)
+    for got, want in ((space.tau(1.0, 2), space.tau(1, 2)), (space.annihilator(2.0), space.annihilator(2))):
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got.matrix, part).tobytes() == getattr(want.matrix, part).tobytes(), part
+    for r in (1.5, 0, math.nan):
+        with pytest.raises(BadModeError):
+            space.annihilator(r)
+
+
+def test_coherent_bilinear_value_refuses_a_bad_mode():
+    amps = BispinorAmplitudes(1, 2, 3, 4)
+    # mode 0 used to read mode 4's amplitude (16.5) and mode 5 to raise IndexError
+    for r in (0, -1, 5, 1.5, math.nan):
+        for terms in (((1.0, r, r),), ((1.0, 1, r),), ((1.0, r, 1),)):
+            with pytest.raises(BadModeError):
+                coherent_bilinear_value(amps, 1.0, terms)
+    assert coherent_bilinear_value(amps, 1.0, ((1.0, 2.0, 2),)) == coherent_bilinear_value(amps, 1.0, ((1.0, 2, 2),))
+
+
 def test_annihilator_frozen_cutoff1():
     # basis order: vacuum, then (0,0,0,1), (0,0,1,0), (0,1,0,0), (1,0,0,0)
     space = FockSpace(1)
