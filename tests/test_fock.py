@@ -124,7 +124,7 @@ def test_an_integral_float_mode_is_that_mode(cutoff):
 
 def test_coherent_bilinear_value_refuses_a_bad_mode():
     amps = BispinorAmplitudes(1, 2, 3, 4)
-    # mode 0 used to read mode 4's amplitude (16.5) and mode 5 to raise IndexError
+    # no mode outside 1..4 may wrap round to another mode's amplitude
     for r in (0, -1, 5, 1.5, math.nan):
         for terms in (((1.0, r, r),), ((1.0, 1, r),), ((1.0, r, 1),)):
             with pytest.raises(BadModeError):
