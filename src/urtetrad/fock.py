@@ -10,8 +10,8 @@ violated only on the top shell, where creation leaves the space.
 Every operator built here is the projection of the untruncated operator
 onto the truncated basis.  For the symmetrized bilinears
 tau_rs = (1/2){a_r^+, a_s} that distinction matters: the literal product
-of truncated factors would corrupt the top shell, so each bilinear is
-built from its 4x4 coefficient matrix C alone in normal-ordered form,
+of truncated factors would corrupt the top shell, so the bilinear of any
+4x4 coefficient matrix C is built from C alone in normal-ordered form,
 which is shell-preserving and therefore projects exactly.
 
 Expectations of the bilinears do not multiply by their matrices: every
@@ -235,8 +235,11 @@ class BilinearOperator(SparseOperator):
     instead of multiplying by the matrix; a tetrad component with entries
     knows its row of TETRAD_COEFFICIENTS and reads its value from the ten
     computed with the moments.  It shares the matrix of the canonical,
-    frozen operator it is made from.  Arithmetic on it (dagger, sums,
-    products, scalar multiples) gives plain SparseOperators.
+    frozen operator it is made from, and keeps C read-only: C itself when C
+    and the array owning its memory are read-only (a row of
+    TETRAD_COEFFICIENTS), else a copy, so no array a caller holds can
+    change it.  Arithmetic on it (dagger, sums, products, scalar
+    multiples) gives plain SparseOperators.
     """
 
     __slots__ = ("coefficients", "_space", "_row")
@@ -248,7 +251,10 @@ class BilinearOperator(SparseOperator):
         coefficients: np.ndarray,
         row: int | None = None,
     ):
-        coefficients.setflags(write=False)
+        owner = coefficients.base if isinstance(coefficients.base, np.ndarray) else coefficients
+        if coefficients.flags.writeable or owner.flags.writeable:
+            coefficients = coefficients.copy()
+            coefficients.setflags(write=False)
         object.__setattr__(self, "_mat", op.matrix)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "_space", space)
@@ -278,8 +284,10 @@ def _coefficient_matrix(terms) -> np.ndarray:
 
 
 def _pairs(coefficients) -> frozenset:
-    """The (k, j) pairs, 0-based, where a 4x4 C is nonzero."""
-    return frozenset(divmod(k, N_MODES) for k in np.flatnonzero(coefficients).tolist())
+    """The moves (see FockSpace._pattern) where a 4x4 C, or any of a sequence of
+    them, is nonzero: its (k, j) pairs, 0-based, off the diagonal, and (0, 0) on it."""
+    pairs = {divmod(k % N_MODES**2, N_MODES) for k in np.flatnonzero(coefficients).tolist()}
+    return frozenset((k, j) if k != j else (0, 0) for k, j in pairs)
 
 
 def _occupations(cutoff: int) -> np.ndarray:
@@ -488,22 +496,23 @@ class FockSpace:
         return self._coherent
 
     def _pattern(self, pairs):
-        """One pass over the basis for the sums of a_k^+ a_j over a frozenset
-        of (k, j) pairs (0-based, k != j): the pairs in column order, the
-        canonical CSR pattern (read-only int32 indices and indptr) and each
-        entry's pair and value.  The space keeps the first three under the
-        set, for the operators to share; the per-entry scratch it does not.
+        """One pass over the basis for sum_rs C[r-1, s-1] tau_rs over a frozenset of its
+        moves (see _pairs): the moves in column order, the canonical CSR pattern (read-only
+        int32 indices and indptr), each entry's move and root, and the diagonal's places and
+        n + 1/2 of their rows.  The space keeps the first three under the set, for the
+        operators to share; the per-entry scratch it does not.
 
-        a_k^+ a_j |p + e_j> = sqrt(p_k + 1) sqrt(p_j + 1) |p + e_k> for p on
-        the basis of cutoff - 1, so the entries come from the lowering table.
-        A move keeps the shell, where the basis is lexicographic in
-        (n1, n2, n3), so every row holds the terms' columns in the order of
-        (e_j - e_k)[:3] and nothing is sorted.
+        a_k^+ a_j |p + e_j> = sqrt(p_k + 1) sqrt(p_j + 1) |p + e_k> for p on the basis of
+        cutoff - 1, so the entries of k != j come from the lowering table; the diagonal
+        (0, 0) has one in every row.  A move keeps the shell, where the basis is lexicographic
+        in (n1, n2, n3), so every row holds the columns in the order of (e_j - e_k)[:3], read
+        by the sort key as a balanced-ternary number, and nothing is sorted.
         """
-        order = tuple(sorted(pairs, key=lambda kj: [(m == kj[1]) - (m == kj[0]) for m in range(3)]))
+        order = tuple(sorted(pairs, key=lambda kj: (9, 3, 1, 0)[kj[1]] - (9, 3, 1, 0)[kj[0]]))
         positions, weights = self._lowering()
-        # row n holds an entry of a_k^+ a_j when n_k > 0
-        present = [self.occupations[:, k] > 0 for k, _ in order]
+        places = diagonal = np.arange(self.dimension if (0, 0) in pairs else 0)
+        # row n holds an entry of a_k^+ a_j when n_k > 0, and the diagonal's always
+        present = [self.occupations[:, k] >= (k != j) for k, j in order]
         indptr = np.zeros(self.dimension + 1, dtype=np.int32)
         np.cumsum(sum(p.view(np.int8) for p in present), out=indptr[1:])
         # each row's place for the next term; intp, so the destinations it
@@ -513,35 +522,33 @@ class FockSpace:
         term = np.empty(indptr[-1], dtype=np.int8)
         roots = np.empty(indptr[-1])
         for t, ((k, j), p) in enumerate(zip(order, present)):
-            dest = place[positions[k]]
-            place += p
-            indices[dest] = positions[j]
-            term[dest] = t
             # two roots, not one, as in the product of the ladder matrices
-            roots[dest] = weights[k] * weights[j]
+            rows, columns, root = (positions[k], positions[j], weights[k] * weights[j]) if k != j else (diagonal, diagonal, 1.0)
+            dest = place[rows]
+            place += p
+            indices[dest] = columns
+            term[dest] = t
+            roots[dest] = root
+            if k == j:
+                places = dest
         for array in (indices, indptr):
             array.setflags(write=False)
-        return (*self._patterns.setdefault(pairs, (order, indices, indptr)), term, roots)
+        # complex once, not in each product: a float @ complex matmul casts on every call
+        halves = self.occupations[: len(diagonal)] + (0.5 + 0j)
+        return (*self._patterns.setdefault(pairs, (order, indices, indptr)), term, roots, places, halves)
 
     def _bilinears(self, members) -> list:
-        """Per (C, row) member, sum_rs C[r-1, s-1] tau_rs, row its row of
-        TETRAD_COEFFICIENTS or None.  The members' C share one nonzero
-        pattern, all on the diagonal or all off it, which one pass builds.
-        tau_rr is n_r + 1/2, so a diagonal C gives sum_k C_kk (n_k + 1/2),
-        exact for the dyadic C built here; for r != s, tau_rs is a_r^+ a_s, which
-        keeps the total, as the untruncated operator."""
-        pairs = _pairs(members[0][0])
-        if all(k == j for k, j in pairs):
-            # complex once, not in each product: a float @ complex matmul casts on every call
-            shifted = self.occupations + (0.5 + 0j)
-            ops = [SparseOperator.from_diagonal(shifted @ c.diagonal()) for c, _ in members]
-        else:
-            order, indices, indptr, term, roots = self._pattern(pairs)
-            ops = []
-            for c, _ in members:
-                data = np.take([c[kj] for kj in order], term)
-                data *= roots
-                ops.append(_csr(data, indices, indptr))
+        """Per (C, row) member, sum_rs C[r-1, s-1] tau_rs, row its row of TETRAD_COEFFICIENTS
+        or None, from one pattern over all members' moves: tau_rs is a_r^+ a_s for r != s and
+        n_r + 1/2 for r == s, and each keeps the total, as the untruncated operator."""
+        order, indices, indptr, term, roots, places, halves = self._pattern(_pairs([c for c, _ in members]))
+        flat = np.array([N_MODES * k + j for k, j in order], dtype=np.intp)
+        ops = []
+        for c, _ in members:
+            data = c.take(flat).take(term)
+            data *= roots
+            data[places] = halves.dot(c.diagonal())
+            ops.append(_csr(data, indices, indptr))
         return [BilinearOperator(op, self, c, row) for op, (c, row) in zip(ops, members)]
 
     def moments(self, state) -> np.ndarray:
@@ -560,7 +567,8 @@ class FockSpace:
         Built in normal-ordered form: a_r^+ a_s plus 1/2 on the diagonal
         when r == s.  The normal-ordered product preserves the total-quanta
         shell, so it equals the projection of the untruncated operator;
-        it is built from its coefficient matrix, 1 at (r, s) and 0 elsewhere.
+        it is built from its coefficient matrix, 1 at (r, s) and 0 elsewhere,
+        so tau(r, r) shares the space's diagonal pattern with t0.
         """
         return self._bilinears([(_coefficient_matrix(((1.0, r, s),)), None)])[0]
 

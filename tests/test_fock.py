@@ -348,13 +348,19 @@ def test_every_tetrad_slot_is_its_component_or_empty(cutoff):
 def test_a_built_space_keeps_no_per_entry_scratch():
     space = FockSpace(30)
     operator_tetrad(space)
-    assert len(space._patterns) == 3
+    assert len(space._patterns) == 4
     kept = [space.occupations, *space._lowering()]
     for order, indices, indptr in space._patterns.values():
         assert indices.dtype == indptr.dtype == np.int32
         assert not indices.flags.writeable and not indptr.flags.writeable
-        assert len(order) == 4 and indices.size == indptr[-1] == 4 * space._lowering()[0].shape[1]
         kept += [indices, indptr]
+    # three 4-term patterns of 4 D' entries and one diagonal pattern of D
+    *moves, diagonal = sorted(space._patterns.values(), key=lambda pattern: -len(pattern[0]))
+    for order, indices, indptr in moves:
+        assert len(order) == 4 and indices.size == indptr[-1] == 4 * space._lowering()[0].shape[1]
+    order, indices, indptr = diagonal
+    assert order == ((0, 0),) and indices.size == indptr[-1] == space.dimension
+    np.testing.assert_array_equal(indptr, np.arange(space.dimension + 1))
     # every array the space holds is the basis, the lowering table or a pattern
     held = [
         array
@@ -380,6 +386,16 @@ def test_every_built_operator_stores_int32_indices(cutoff):
         assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int32, op
 
 
+@pytest.mark.parametrize("cutoff", [0, 4])
+def test_t0_and_every_tau_rr_share_the_diagonal_pattern(cutoff):
+    space = FockSpace(cutoff)
+    t0 = tetrad_component(space, "t0").matrix
+    np.testing.assert_array_equal(t0.indices, np.arange(space.dimension))
+    for r in MODES:
+        tau = space.tau(r, r).matrix
+        assert _owner(tau.indices) is _owner(t0.indices) and _owner(tau.indptr) is _owner(t0.indptr)
+
+
 def test_a_diagonal_term_with_an_imaginary_coefficient_is_kept():
     space = FockSpace(4)
     for terms in (((0.5j, 1, 1), (0.25, 2, 2), (-1.5 + 0.5j, 4, 4)), ((1j, 3, 3),), ((2.0, 2, 2), (-0.5j, 2, 2))):
@@ -390,6 +406,81 @@ def test_a_diagonal_term_with_an_imaginary_coefficient_is_kept():
         for part in ("data", "indices", "indptr"):
             assert getattr(op.matrix, part).tobytes() == getattr(want, part).tobytes(), (terms, part)
         assert op.diagonal().imag.any()
+
+
+def _dense_lift(space, coefficients):
+    """sum_rs C[r-1, s-1] a_r^+ a_s + tr C / 2, densely, from the ladder matrices."""
+    dense = 0.5 * np.trace(coefficients) * np.eye(space.dimension, dtype=complex)
+    for r, s in itertools.product(MODES, MODES):
+        dense += coefficients[r - 1, s - 1] * (space.creator(r) @ space.annihilator(s)).to_dense()
+    return dense
+
+
+def _mixed_coefficients(seed):
+    """Two seeded Hermitian 4x4 C and one non-Hermitian one, each nonzero on
+    and off its diagonal."""
+    rng = np.random.default_rng(seed)
+    raw = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3)]
+    return [(raw[0] + raw[0].conj().T) / 2, (raw[1] + raw[1].conj().T) / 2, raw[2]]
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 3, 4])
+def test_a_mixed_coefficient_matrix_lifts_with_its_zero_point(cutoff):
+    space = FockSpace(cutoff)
+    rng = np.random.default_rng(300 + cutoff)
+    state = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+    state /= np.linalg.norm(state)
+    for c in _mixed_coefficients(200 + cutoff):
+        op = space._bilinears([(c, None)])[0]
+        assert np.abs(op.to_dense() - _dense_lift(space, c)).max() < 1e-12
+        assert abs(expectation(op, state) - np.vdot(state, op @ state)) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 3, 4])
+def test_a_zero_coefficient_matrix_lifts_to_the_empty_operator(cutoff):
+    space = FockSpace(cutoff)
+    zero = np.zeros((4, 4), dtype=complex)
+    # alone, and next to a member with moves
+    for members in ([zero], [zero, fock.TETRAD_COEFFICIENTS[1]]):
+        op = space._bilinears([(c, None) for c in members])[0]
+        assert op.dimension == space.dimension and op.nnz == 0
+        assert expectation(op, np.ones(space.dimension)) == 0j
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 3, 4])
+def test_members_with_different_moves_each_get_their_own_lift(cutoff):
+    space = FockSpace(cutoff)
+    hermitian, _, other = _mixed_coefficients(210 + cutoff)
+    off = fock._coefficient_matrix(((0.5, 1, 2), (0.5, 2, 1), (-2j, 4, 3)))
+    for members in ([hermitian, off], [off, fock.TETRAD_COEFFICIENTS[3]], [fock.TETRAD_COEFFICIENTS[0], other]):
+        assert fock._pairs(members[0]) != fock._pairs(members[1])
+        ops = space._bilinears([(c, None) for c in members])
+        for c, op in zip(members, ops):
+            assert np.abs(op.to_dense() - _dense_lift(space, c)).max() < 1e-12
+            alone = space._bilinears([(c, None)])[0].matrix
+            for part in ("data", "indices", "indptr"):
+                assert getattr(op.matrix, part).tobytes() == getattr(alone, part).tobytes(), part
+
+
+def test_a_bilinear_keeps_its_own_copy_of_a_callers_coefficients():
+    space = FockSpace(2)
+    base = fock._coefficient_matrix(((0.5, 1, 2), (0.5, 2, 1), (1j, 3, 4), (-1j, 4, 3)))
+    state = moment_states(space, 23)[2]
+    for make in (
+        lambda c: space._bilinears([(c, None)])[0],
+        lambda c: BilinearOperator(space._bilinears([(c.copy(), None)])[0], space, c),
+    ):
+        buffer = base.copy()
+        view = buffer[:, :]
+        op = make(view)
+        before = expectation(op, state)
+        assert abs(before - np.vdot(state, op @ state)) < 1e-12
+        # the caller's arrays stay writable, and writing them reaches no operator
+        assert view.flags.writeable and buffer.flags.writeable
+        view[0, 1] = buffer[1, 0] = 5
+        np.testing.assert_array_equal(op.coefficients, base)
+        assert not op.coefficients.flags.writeable
+        assert expectation(op, state) == before
 
 
 @pytest.mark.parametrize("cutoff", [31, 45, 67])
