@@ -555,8 +555,45 @@ def test_operator_arrays_are_read_only():
         "wrapped": SparseOperator(np.eye(3)),
     }
     for name, op in ops.items():
-        for part in ("data", "indices", "indptr"):
-            assert not getattr(op.matrix, part).flags.writeable, (name, part)
+        for part in ("_data", "_indices", "_indptr"):
+            assert not getattr(op, part).flags.writeable, (name, part)
+
+
+MATRIX_EDITS = {
+    "data": lambda mat: setattr(mat, "data", mat.data * 0 + 7),
+    "indices": lambda mat: setattr(mat, "indices", mat.indices[::-1].copy()),
+    "resize": lambda mat: mat.resize((mat.shape[0] + 1,) * 2),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MATRIX_EDITS))
+def test_editing_a_matrix_leaves_its_operator(edit):
+    # .matrix is a new scipy array over the operator's read-only arrays, so
+    # what a caller rebinds or resizes on it is the caller's alone
+    space = FockSpace(2)
+    for op in (tetrad_component(space, "x1"), tetrad_component(space, "z1"), SparseOperator(np.eye(2))):
+        before = op.triplets(), op.hermiticity_defect(), op.dimension
+        MATRIX_EDITS[edit](op.matrix)
+        assert (op.triplets(), op.hermiticity_defect(), op.dimension) == before, op
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 4, 7, 30])
+def test_every_built_operator_is_canonical(cutoff):
+    # nothing scans an operator's arrays at run time, so the builders'
+    # canonical form is checked here
+    space = FockSpace(cutoff)
+    ops = [op for _, op in operator_tetrad(space).components()]
+    ops += [space.tau(r, s) for r in MODES for s in MODES]
+    ops += [space.annihilator(r) for r in MODES] + [space.creator(r) for r in MODES]
+    ops += [space.identity(), space.total_quanta(), SparseOperator.zero(space.dimension)]
+    for op in ops:
+        assert all(isinstance(getattr(op, part), np.ndarray) for part in SparseOperator.__slots__), op
+        mat = op.matrix
+        mat.check_format(full_check=True)
+        assert mat.shape == (space.dimension,) * 2 and mat.nnz == op.nnz, op
+        # computed from the arrays: .matrix sets no format flag
+        assert mat.has_canonical_format and mat.data.all(), op
+        assert mat.indices.dtype == mat.indptr.dtype == np.int32, op
 
 
 CLONES = {

@@ -1,10 +1,11 @@
 """Each code path loads only the dependencies it uses: the package import,
-`cosmos` and the help screens load no numpy; scipy is loaded by the code
-paths that build a sparse operator and by no other, so `fock
---expect-coherent` loads none while `fock --matrix` does.  Each case runs
-in a fresh interpreter."""
+`cosmos` and the help screens load no numpy; scipy is loaded only where a
+caller asks an operator for its scipy matrix, directly or through its
+arithmetic, so operator builds, `fock --expect-coherent` and `fock --matrix`
+load none.  Each case runs in a fresh interpreter."""
 
 import ast
+import pickle
 import subprocess
 import sys
 
@@ -59,7 +60,7 @@ def _loaded(code, child_env):
         ("import urtetrad", False),
         (CLI.format(["cosmos", "--r0", "1", "--c", "1", "--epoch", "2"]), False),
         (CLI.format(["tetrad", "--quat", "1", "0", "0", "0", "--real"]), False),
-        ("from urtetrad.fock import FockSpace, operator_tetrad; operator_tetrad(FockSpace(1))", True),
+        ("from urtetrad.fock import FockSpace, operator_tetrad; operator_tetrad(FockSpace(1))", False),
     ],
     ids=["import", "cli-cosmos", "cli-tetrad", "operator_tetrad"],
 )
@@ -75,6 +76,13 @@ def test_moments_and_coherent_states_load_no_scipy(child_env):
         "space.moments(coherent_state(space, BispinorAmplitudes(1, 0, 0, 1), 0.1))"
     )
     assert "scipy" not in _loaded(code, child_env)
+
+
+def test_an_unpickled_component_loads_scipy_only_for_its_matrix(child_env):
+    blob = pickle.dumps(fock.tetrad_component(fock.FockSpace(2), "x1"))
+    code = f"import pickle\nop = pickle.loads({blob!r})\nop.nnz, op.triplets()"
+    assert "scipy" not in _loaded(code, child_env)
+    assert "scipy" in _loaded(f"{code}\nop.matrix", child_env)
 
 
 def _top_level_imports(argv, route, child_env):
@@ -109,7 +117,7 @@ EXPECT = ["--expect-coherent", "0.6", "0", "0", "-0.8", "0.3", "5e-5"]
         (["fock", "--cutoff", "0", "--op", "tau", "2", "3", *EXPECT], "scipy", "numpy"),
         (["fock", "--cutoff", "30", "--op", "z1", *EXPECT], "scipy", "numpy"),
         (["fock", "--cutoff", "30", "--op", "tau", "2", "3", *EXPECT], "scipy", "numpy"),
-        (["fock", "--cutoff", "1", "--op", "tau", "2", "3", "--matrix"], None, "scipy"),
+        (["fock", "--cutoff", "1", "--op", "tau", "2", "3", "--matrix"], "scipy", "numpy"),
     ],
     ids=["cosmos", "help", "verify-help", "expect-0-z1", "expect-0-tau", "expect-30-z1",
          "expect-30-tau", "matrix"],
