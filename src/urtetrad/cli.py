@@ -4,9 +4,9 @@ JSON with a fixed key order and floats printed to 17 significant digits,
 so identical flags give byte-identical output; diagnostics go to stderr.
 
 Each subcommand imports the modules it uses when it runs, so `cosmos` and
-`--help` load no numpy, and `fock --expect-coherent` reads its value from
-the state's moments and loads no scipy; only `fock --matrix` builds an
-operator.
+`--help` load no numpy, and `fock` loads no scipy: `--expect-coherent`
+reads its value from the state's moments, and only `--matrix` builds an
+operator, whose triplets it lists from the operator's own arrays.
 
 Exit codes: 0 success, 1 verification or physics failure, 2 usage error,
 141 (128 + SIGPIPE) when the reader closes stdout before all of it is

@@ -27,10 +27,10 @@ indices and indptr.  It keeps the moments and ten values of the last
 state coherent_state made for it, which every reader gets through
 FockSpace._entry, and its bilinear operators hold it.
 
-Every operator's CSR arrays are written here with numpy, with int32 indices
-and indptr (MAX_STATES < 2**31); scipy is imported only to wrap them (_csr)
-or a caller's matrix (SparseOperator), so the basis, coherent states and
-moments need only numpy.
+Every operator owns its CSR arrays, written here with numpy, with int32
+indices and indptr (MAX_STATES < 2**31); scipy is imported only to read a
+caller's matrix (SparseOperator) or for .matrix, which the arithmetic uses,
+so operator builds, triplets, coherent states and moments need only numpy.
 """
 
 from __future__ import annotations
@@ -95,25 +95,29 @@ class DimensionMismatchError(ValueError):
 class SparseOperator:
     """Immutable complex sparse matrix over a Fock basis.
 
-    Stored in canonical CSR form (sorted, deduplicated, no explicit
-    zeros) so the triplet listing is deterministic.  Its data, indices and
-    indptr are read-only, and a matrix passed in is copied, so no buffer
-    the caller still holds can change the operator.
+    It owns three read-only CSR arrays (data, indices, indptr) in canonical
+    form (sorted, deduplicated, no explicit zeros), so the triplet listing is
+    deterministic, and copies a matrix passed in, so no buffer the caller
+    holds can change it.  .matrix wraps the arrays in a new scipy CSR array
+    on each call, for the arithmetic and for any caller that asks.
     """
 
-    __slots__ = ("_mat",)
+    __slots__ = ("_data", "_indices", "_indptr")
 
     def __init__(self, matrix):
         from scipy import sparse
 
-        mat = _frozen_csr(sparse.csr_array(matrix, dtype=complex).copy())
-        object.__setattr__(self, "_mat", mat)
+        mat = sparse.csr_array(matrix, dtype=complex).copy()
+        if mat.shape[0] != mat.shape[1]:
+            raise ValueError("operator matrix must be square")
+        mat.sum_duplicates()
+        _fill(self, mat.data, mat.indices, mat.indptr)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseOperator is immutable")
 
     def __reduce__(self):
-        return SparseOperator, (self._mat,)
+        return _csr, (self._data, self._indices, self._indptr)
 
     @staticmethod
     def identity(dimension: int) -> "SparseOperator":
@@ -125,68 +129,67 @@ class SparseOperator:
 
     @staticmethod
     def from_diagonal(values) -> "SparseOperator":
-        """The diagonal operator of a 1-D sequence, its int32 CSR arrays
-        written here; a zero (-0.0 too) is not stored, NaN is."""
-        values = np.asarray(values, dtype=complex)
+        """The diagonal operator of a 1-D sequence, on the int32 diagonal
+        pattern; a zero (-0.0 too) is not stored, NaN is."""
+        values = np.array(values, dtype=complex)  # a copy, as _fill freezes it
         if values.ndim != 1:  # TypeError for a scalar, which has no len()
             raise (ValueError if values.ndim else TypeError)("a diagonal must be 1-D")
-        nonzero = values != 0
-        indptr = np.zeros(len(values) + 1, dtype=np.int32)
-        indptr[1:] = nonzero
-        indptr.cumsum(out=indptr)
-        return _csr(values[nonzero], np.flatnonzero(nonzero).astype(np.int32), indptr)
+        diagonal = np.arange(len(values) + 1, dtype=np.int32)
+        return _csr(values, diagonal[:-1], diagonal)
 
     @property
     def dimension(self) -> int:
-        return self._mat.shape[0]
+        return len(self._indptr) - 1
 
     @property
     def nnz(self) -> int:
-        return self._mat.nnz
+        return len(self._data)
 
     @property
     def matrix(self):
-        """The underlying CSR array (read-only data buffer)."""
-        return self._mat
+        """A new scipy CSR array over the operator's read-only arrays."""
+        from scipy import sparse
+
+        return sparse.csr_array((self._data, self._indices, self._indptr), shape=(self.dimension,) * 2)
 
     def triplets(self):
         """Row-major list of (row, col, value) for all stored entries."""
-        coo = self._mat.tocoo()
-        return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+        rows = np.repeat(np.arange(self.dimension), np.diff(self._indptr))
+        return list(zip(rows.tolist(), self._indices.tolist(), self._data.tolist()))
 
     def to_dense(self) -> np.ndarray:
-        return self._mat.toarray()
+        return self.matrix.toarray()
 
     def diagonal(self) -> np.ndarray:
-        return self._mat.diagonal()
+        return self.matrix.diagonal()
 
     def dagger(self) -> "SparseOperator":
-        return _own(self._mat.conj().T.tocsr())
+        return _own(self.matrix.conj().T.tocsr())
 
     def hermiticity_defect(self) -> float:
         return (self - self.dagger()).max_abs()
 
     def max_abs(self, columns=None) -> float:
         """Largest entry magnitude, optionally restricted to a column subset."""
-        mat = self._mat if columns is None else self._mat[:, columns]
-        return float(np.abs(mat.data).max()) if mat.nnz else 0.0
+        data = self._data if columns is None else self.matrix[:, columns].data
+        return float(np.abs(data).max()) if len(data) else 0.0
 
     def __matmul__(self, other):
         if isinstance(other, SparseOperator):
-            return _own(self._mat @ other._mat)
-        return self._mat @ np.asarray(other, dtype=complex)
+            return _own(self.matrix @ other.matrix)
+        return self.matrix @ np.asarray(other, dtype=complex)
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return _own(self._mat + other._mat)
+        return _own(self.matrix + other.matrix)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return _own(self._mat - other._mat)
+        return _own(self.matrix - other.matrix)
 
     def __neg__(self) -> "SparseOperator":
-        return _own(-self._mat)
+        return _own(-self.matrix)
 
     def __mul__(self, scalar) -> "SparseOperator":
-        return _own(self._mat * complex(scalar))
+        return _own(self.matrix * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -194,37 +197,31 @@ class SparseOperator:
         return f"SparseOperator(dimension={self.dimension}, nnz={self.nnz})"
 
 
-def _frozen_csr(mat):
-    """A square CSR array in canonical form with read-only arrays.
-
-    It is canonicalised on a copy, never in place, because its arrays may
-    be a pattern shared by several operators.
-    """
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError("operator matrix must be square")
-    if not (mat.has_canonical_format and mat.data.all()):
-        mat = mat.copy()
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
-    for part in (mat.data, mat.indices, mat.indptr):
-        part.setflags(write=False)
-    return mat
-
-
-def _own(mat) -> SparseOperator:
-    """The operator of a complex CSR array built here and held by no caller:
-    frozen in place rather than copied."""
-    op = object.__new__(SparseOperator)
-    object.__setattr__(op, "_mat", _frozen_csr(mat))
+def _fill(op, data, indices, indptr):
+    """op holding sorted, deduplicated CSR arrays less their explicit zeros (-0.0
+    too, not NaN), frozen in place, not copied, so a shared pattern stays shared."""
+    if not data.all():
+        keep = data != 0
+        kept = np.zeros(len(data) + 1, dtype=indptr.dtype)
+        np.cumsum(keep, out=kept[1:])
+        data, indices, indptr = data[keep], indices[keep], kept[indptr]
+    for name, array in zip(SparseOperator.__slots__, (data, indices, indptr)):
+        array.setflags(write=False)
+        object.__setattr__(op, name, array)
     return op
 
 
 def _csr(data, indices, indptr) -> SparseOperator:
-    """The square operator of CSR arrays written here, len(indptr) - 1 on a
-    side; the builders write int32 indices and indptr, which scipy keeps."""
-    from scipy import sparse
+    """The square operator of canonical CSR arrays, len(indptr) - 1 on a
+    side; the builders write int32 indices and indptr."""
+    return _fill(object.__new__(SparseOperator), data, indices, indptr)
 
-    return _own(sparse.csr_array((data, indices, indptr), shape=(len(indptr) - 1,) * 2))
+
+def _own(mat) -> SparseOperator:
+    """The operator of a square complex CSR array built here and held by no
+    caller: canonicalised in place rather than copied."""
+    mat.sum_duplicates()
+    return _csr(mat.data, mat.indices, mat.indptr)
 
 
 class BilinearOperator(SparseOperator):
@@ -234,8 +231,8 @@ class BilinearOperator(SparseOperator):
     expectation contracts C with the state's moments (FockSpace.moments)
     instead of multiplying by the matrix; a tetrad component with entries
     knows its row of TETRAD_COEFFICIENTS and reads its value from the ten
-    computed with the moments.  It shares the matrix of the canonical,
-    frozen operator it is made from, and keeps C read-only: C itself when C
+    computed with the moments.  It shares the three read-only arrays of the
+    operator it is made from, and keeps C read-only: C itself when C
     and the array owning its memory are read-only (a row of
     TETRAD_COEFFICIENTS), else a copy, so no array a caller holds can
     change it.  Arithmetic on it (dagger, sums, products, scalar
@@ -255,7 +252,8 @@ class BilinearOperator(SparseOperator):
         if coefficients.flags.writeable or owner.flags.writeable:
             coefficients = coefficients.copy()
             coefficients.setflags(write=False)
-        object.__setattr__(self, "_mat", op.matrix)
+        for name in SparseOperator.__slots__:
+            object.__setattr__(self, name, getattr(op, name))
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "_space", space)
         # a component with no entries (spatial, at cutoff 0) has no row, so
@@ -263,7 +261,8 @@ class BilinearOperator(SparseOperator):
         object.__setattr__(self, "_row", row if op.nnz else None)
 
     def __reduce__(self):
-        return BilinearOperator, (_own(self._mat), self._space, self.coefficients, self._row)
+        op = _csr(self._data, self._indices, self._indptr)
+        return BilinearOperator, (op, self._space, self.coefficients, self._row)
 
 
 def _mode_index(r: int) -> int:

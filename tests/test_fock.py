@@ -1039,6 +1039,10 @@ def test_from_diagonal_edges():
     assert mat.indices.dtype == mat.indptr.dtype == np.int32
     assert mat.indices.tolist() == [0, 2, 4] and mat.indptr.tolist() == [0, 1, 1, 2, 2, 3]
     assert mat.data[0] == 1.0 and np.isnan(mat.data[1].real) and mat.data[2] == 2j
+    # the operator freezes its own copy, never the caller's array
+    values = np.ones(3, dtype=complex)
+    SparseOperator.from_diagonal(values)
+    assert values.flags.writeable
 
 
 # sha256 of the coherent-state bytes of three seeded draws at cutoffs 4 and
