@@ -164,7 +164,8 @@ class SparseOperator:
         return self.matrix.diagonal()
 
     def dagger(self) -> "SparseOperator":
-        return _own(self.matrix.conj().T.tocsr())
+        mat = self.matrix.conj().T.tocsr()  # canonical, as a canonical CSR's transpose
+        return _csr(mat.data, mat.indices, mat.indptr)
 
     def hermiticity_defect(self) -> float:
         return (self - self.dagger()).max_abs()
@@ -197,17 +198,30 @@ class SparseOperator:
         return f"SparseOperator(dimension={self.dimension}, nnz={self.nnz})"
 
 
-def _fill(op, data, indices, indptr):
-    """op holding sorted, deduplicated CSR arrays less their explicit zeros (-0.0
-    too, not NaN), frozen in place, not copied, so a shared pattern stays shared."""
+def _fill(op, data, indices, indptr, *bilinear):
+    """op holding sorted, deduplicated CSR arrays less their explicit zeros (-0.0 too, not
+    NaN), frozen in place, not copied, so a shared pattern stays shared, and then a
+    BilinearOperator's coefficients, space and row (see there)."""
     if not data.all():
         keep = data != 0
         kept = np.zeros(len(data) + 1, dtype=indptr.dtype)
         np.cumsum(keep, out=kept[1:])
         data, indices, indptr = data[keep], indices[keep], kept[indptr]
-    for name, array in zip(SparseOperator.__slots__, (data, indices, indptr)):
-        array.setflags(write=False)
-        object.__setattr__(op, name, array)
+    data.setflags(write=False)
+    indices.setflags(write=False)
+    indptr.setflags(write=False)
+    object.__setattr__(op, "_data", data)
+    object.__setattr__(op, "_indices", indices)
+    object.__setattr__(op, "_indptr", indptr)
+    if bilinear:
+        coefficients, space, row = bilinear
+        if coefficients.base is not TETRAD_COEFFICIENTS:
+            coefficients = coefficients.copy()
+            coefficients.setflags(write=False)
+        object.__setattr__(op, "coefficients", coefficients)
+        object.__setattr__(op, "_space", space)
+        # no row without entries (spatial, at cutoff 0), so expectation gives 0j
+        object.__setattr__(op, "_row", row if len(data) else None)
     return op
 
 
@@ -231,38 +245,30 @@ class BilinearOperator(SparseOperator):
     expectation contracts C with the state's moments (FockSpace.moments)
     instead of multiplying by the matrix; a tetrad component with entries
     knows its row of TETRAD_COEFFICIENTS and reads its value from the ten
-    computed with the moments.  It shares the three read-only arrays of the
-    operator it is made from, and keeps C read-only: C itself when C
-    and the array owning its memory are read-only (a row of
-    TETRAD_COEFFICIENTS), else a copy, so no array a caller holds can
-    change it.  Arithmetic on it (dagger, sums, products, scalar
-    multiples) gives plain SparseOperators.
+    computed with the moments.  It keeps C read-only: C itself when C is a
+    row of TETRAD_COEFFICIENTS, else a read-only copy, so no array a caller
+    holds can change it.  Arithmetic on it (dagger, sums, products, scalar
+    multiples) gives plain SparseOperators.  The package builds and
+    unpickles it through _bilinear; the public constructor refuses
+    (ValueError) an op that is not the lift of C on space, entry for entry,
+    and otherwise holds the lift's arrays and no row.
     """
 
     __slots__ = ("coefficients", "_space", "_row")
 
-    def __init__(
-        self,
-        op: SparseOperator,
-        space: "FockSpace",
-        coefficients: np.ndarray,
-        row: int | None = None,
-    ):
-        owner = coefficients.base if isinstance(coefficients.base, np.ndarray) else coefficients
-        if coefficients.flags.writeable or owner.flags.writeable:
-            coefficients = coefficients.copy()
-            coefficients.setflags(write=False)
-        for name in SparseOperator.__slots__:
-            object.__setattr__(self, name, getattr(op, name))
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "_space", space)
-        # a component with no entries (spatial, at cutoff 0) has no row, so
-        # expectation gives it exactly 0j
-        object.__setattr__(self, "_row", row if op.nnz else None)
+    def __init__(self, op: SparseOperator, space: "FockSpace", coefficients):
+        lift = space._bilinears([(np.asarray(coefficients, dtype=complex), None)])[0]
+        if not all(np.array_equal(getattr(op, name, None), getattr(lift, name)) for name in SparseOperator.__slots__):
+            raise ValueError("the operator is not the lift of its coefficient matrix on the space")
+        _fill(self, lift._data, lift._indices, lift._indptr, lift.coefficients, space, None)
 
     def __reduce__(self):
-        op = _csr(self._data, self._indices, self._indptr)
-        return BilinearOperator, (op, self._space, self.coefficients, self._row)
+        return _bilinear, (self._data, self._indices, self._indptr, self.coefficients, self._space, self._row)
+
+
+def _bilinear(*arrays_and_slots) -> BilinearOperator:
+    """The BilinearOperator of _fill's arguments, with no check that they agree."""
+    return _fill(object.__new__(BilinearOperator), *arrays_and_slots)
 
 
 def _mode_index(r: int) -> int:
@@ -282,11 +288,12 @@ def _coefficient_matrix(terms) -> np.ndarray:
     return coefficients
 
 
-def _pairs(coefficients) -> frozenset:
+def _pairs(coefficients) -> tuple:
     """The moves (see FockSpace._pattern) where a 4x4 C, or any of a sequence of
-    them, is nonzero: its (k, j) pairs, 0-based, off the diagonal, and (0, 0) on it."""
-    pairs = {divmod(k % N_MODES**2, N_MODES) for k in np.flatnonzero(coefficients).tolist()}
-    return frozenset((k, j) if k != j else (0, 0) for k, j in pairs)
+    them, is nonzero, in column order: its (k, j) pairs, 0-based, off the diagonal,
+    and (0, 0) on it, sorted by (e_j - e_k)[:3] read as a balanced-ternary number."""
+    moves = {divmod(k, N_MODES) if k % (N_MODES + 1) else (0, 0) for k in (np.flatnonzero(coefficients) % N_MODES**2).tolist()}
+    return tuple(sorted(moves, key=lambda kj: (9, 3, 1, 0)[kj[1]] - (9, 3, 1, 0)[kj[0]]))
 
 
 def _occupations(cutoff: int) -> np.ndarray:
@@ -494,33 +501,32 @@ class FockSpace:
             self._coherent = powers, roots, index
         return self._coherent
 
-    def _pattern(self, pairs):
-        """One pass over the basis for sum_rs C[r-1, s-1] tau_rs over a frozenset of its
-        moves (see _pairs): the moves in column order, the canonical CSR pattern (read-only
-        int32 indices and indptr), each entry's move and root, and the diagonal's places and
-        n + 1/2 of their rows.  The space keeps the first three under the set, for the
-        operators to share; the per-entry scratch it does not.
+    def _pattern(self, moves):
+        """One pass over the basis for sum_rs C[r-1, s-1] tau_rs over its moves in
+        column order (see _pairs): the canonical CSR pattern (read-only int32 indices
+        and indptr), each entry's term and root, and the diagonal's places, None
+        without (0, 0).  The space keeps (moves, indices, indptr) under the moves, for
+        the operators to share; the per-entry scratch it does not.
 
         a_k^+ a_j |p + e_j> = sqrt(p_k + 1) sqrt(p_j + 1) |p + e_k> for p on the basis of
         cutoff - 1, so the entries of k != j come from the lowering table; the diagonal
         (0, 0) has one in every row.  A move keeps the shell, where the basis is lexicographic
-        in (n1, n2, n3), so every row holds the columns in the order of (e_j - e_k)[:3], read
-        by the sort key as a balanced-ternary number, and nothing is sorted.
+        in (n1, n2, n3), so every row holds the columns in the order of (e_j - e_k)[:3], the
+        moves' order, and nothing is sorted.
         """
-        order = tuple(sorted(pairs, key=lambda kj: (9, 3, 1, 0)[kj[1]] - (9, 3, 1, 0)[kj[0]]))
         positions, weights = self._lowering()
-        places = diagonal = np.arange(self.dimension if (0, 0) in pairs else 0)
+        places, diagonal = None, np.arange(self.dimension if (0, 0) in moves else 0)
         # row n holds an entry of a_k^+ a_j when n_k > 0, and the diagonal's always
-        present = [self.occupations[:, k] >= (k != j) for k, j in order]
+        present = np.array([self.occupations[:, k] >= (k != j) for k, j in moves] or np.empty((0, self.dimension), bool))
         indptr = np.zeros(self.dimension + 1, dtype=np.int32)
-        np.cumsum(sum(p.view(np.int8) for p in present), out=indptr[1:])
+        np.add.accumulate(present.sum(axis=0, dtype=np.int8), dtype=np.int32, out=indptr[1:])
         # each row's place for the next term; intp, so the destinations it
         # gives index three arrays without a conversion each
         place = indptr[:-1].astype(np.intp)
         indices = np.empty(indptr[-1], dtype=np.int32)
         term = np.empty(indptr[-1], dtype=np.int8)
         roots = np.empty(indptr[-1])
-        for t, ((k, j), p) in enumerate(zip(order, present)):
+        for t, ((k, j), p) in enumerate(zip(moves, present)):
             # two roots, not one, as in the product of the ladder matrices
             rows, columns, root = (positions[k], positions[j], weights[k] * weights[j]) if k != j else (diagonal, diagonal, 1.0)
             dest = place[rows]
@@ -530,25 +536,28 @@ class FockSpace:
             roots[dest] = root
             if k == j:
                 places = dest
-        for array in (indices, indptr):
-            array.setflags(write=False)
-        # complex once, not in each product: a float @ complex matmul casts on every call
-        halves = self.occupations[: len(diagonal)] + (0.5 + 0j)
-        return (*self._patterns.setdefault(pairs, (order, indices, indptr)), term, roots, places, halves)
+        indices.setflags(write=False)
+        indptr.setflags(write=False)
+        return (*self._patterns.setdefault(moves, (moves, indices, indptr))[1:], term, roots, places)
 
-    def _bilinears(self, members) -> list:
+    def _bilinears(self, members, moves=None) -> list:
         """Per (C, row) member, sum_rs C[r-1, s-1] tau_rs, row its row of TETRAD_COEFFICIENTS
-        or None, from one pattern over all members' moves: tau_rs is a_r^+ a_s for r != s and
-        n_r + 1/2 for r == s, and each keeps the total, as the untruncated operator."""
-        order, indices, indptr, term, roots, places, halves = self._pattern(_pairs([c for c, _ in members]))
-        flat = np.array([N_MODES * k + j for k, j in order], dtype=np.intp)
+        or None, from one pattern over the members' moves (_pairs of them unless given):
+        tau_rs is a_r^+ a_s for r != s and n_r + 1/2 for r == s, and each keeps the total,
+        as the untruncated operator."""
+        moves = _pairs([c for c, _ in members]) if moves is None else moves
+        indices, indptr, term, roots, places = self._pattern(moves)
+        flat = np.array([N_MODES * k + j for k, j in moves], dtype=np.intp)
+        # complex once, not in each product: a float @ complex matmul casts on every call
+        halves = None if places is None else self.occupations + (0.5 + 0j)
         ops = []
-        for c, _ in members:
+        for c, row in members:
             data = c.take(flat).take(term)
             data *= roots
-            data[places] = halves.dot(c.diagonal())
-            ops.append(_csr(data, indices, indptr))
-        return [BilinearOperator(op, self, c, row) for op, (c, row) in zip(ops, members)]
+            if places is not None:
+                data[places] = halves.dot(c.diagonal())
+            ops.append(_bilinear(data, indices, indptr, c, self, row))
+        return ops
 
     def moments(self, state) -> np.ndarray:
         """Read-only (4, 4) moments M[r-1, s-1] = <state| tau_rs |state>,
@@ -612,9 +621,10 @@ TETRAD_BILINEARS = {
 TETRAD_COEFFICIENTS = np.array([_coefficient_matrix(terms) for terms in TETRAD_BILINEARS.values()])
 TETRAD_COEFFICIENTS.setflags(write=False)
 _TETRAD_ROWS = {name: row for row, name in enumerate(TETRAD_BILINEARS)}
-# The mode-pair classes, {t0, z3}, {z1, z2}, {x1, x2, y1, y2} and {x3, y3}, as rows
-_TETRAD_CLASSES = [[row for row, c in enumerate(TETRAD_COEFFICIENTS) if _pairs(c) == pairs]
-                   for pairs in dict.fromkeys(map(_pairs, TETRAD_COEFFICIENTS))]
+# The mode-pair classes, {t0, z3}, {z1, z2}, {x1, x2, y1, y2} and {x3, y3}, each as
+# its moves (see _pairs) and its (C, row) members
+_TETRAD_CLASSES = [(moves, [(c, row) for row, c in enumerate(TETRAD_COEFFICIENTS) if _pairs(c) == moves])
+                   for moves in dict.fromkeys(map(_pairs, TETRAD_COEFFICIENTS))]
 
 
 def _tetrad_values(moments: np.ndarray) -> tuple:
@@ -657,8 +667,8 @@ def operator_tetrad(space: FockSpace) -> OperatorTetrad:
     One pass builds each mode-pair class; its scratch goes before the next."""
     zero = SparseOperator.zero(space.dimension)
     comp = {}
-    for rows in _TETRAD_CLASSES:
-        comp.update(zip(rows, space._bilinears([(TETRAD_COEFFICIENTS[row], row) for row in rows])))
+    for moves, members in _TETRAD_CLASSES:
+        comp.update(zip((row for _, row in members), space._bilinears(members, moves)))
     # the slot components() labels v + mu holds that component, if there is one
     return OperatorTetrad(*(tuple(comp.get(_TETRAD_ROWS.get(f"{v}{mu}"), zero) for mu in range(4)) for v in "tzxy"))
 

@@ -483,6 +483,53 @@ def test_a_bilinear_keeps_its_own_copy_of_a_callers_coefficients():
         assert expectation(op, state) == before
 
 
+def test_a_public_bilinear_must_be_the_lift_of_its_coefficients():
+    space = FockSpace(2)
+    t0 = fock.TETRAD_COEFFICIENTS[0]
+    refused = (
+        (space.tau(1, 2), np.eye(4)),
+        (space.tau(1, 2), t0),
+        (tetrad_component(FockSpace(1), "t0"), t0),
+        (space.identity(), t0),
+        (2 * tetrad_component(space, "x1"), fock.TETRAD_COEFFICIENTS[4]),
+        (space.tau(1, 2).matrix, space.tau(1, 2).coefficients),
+    )
+    for op, c in refused:
+        with pytest.raises(ValueError):
+            BilinearOperator(op, space, c)
+    # a row is the package's own: the public constructor takes none
+    with pytest.raises(TypeError):
+        BilinearOperator(tetrad_component(space, "t0"), space, t0, 0)
+    state = coherent_state(space, BispinorAmplitudes.from_element(GroupElement(0.6, 0.8j)), 0.01)
+    for name in TETRAD_BILINEARS:
+        built = tetrad_component(space, name)
+        # a dense copy of the lift, or the lift summed from two halves, is taken
+        for op in (SparseOperator(built.to_dense()), 0.5 * built + 0.5 * built):
+            twin = BilinearOperator(op, space, np.array(built.coefficients))
+            assert twin._row is None and not twin.coefficients.flags.writeable
+            # it holds the lift's own arrays, dtypes included
+            for part in SparseOperator.__slots__:
+                assert getattr(twin, part).tobytes() == getattr(built, part).tobytes(), (name, part)
+                assert getattr(twin, part).dtype == getattr(built, part).dtype, (name, part)
+            assert abs(expectation(twin, state) - np.vdot(state, twin @ state)) < 1e-12, name
+
+
+def test_built_copied_and_unpickled_bilinears_skip_the_public_check(monkeypatch):
+    space = FockSpace(2)
+
+    def refuse(*args):
+        raise AssertionError("the public constructor was called")
+
+    monkeypatch.setattr(BilinearOperator, "__init__", refuse)
+    ops = [op for _, op in operator_tetrad(space).components() if isinstance(op, BilinearOperator)]
+    ops += [space.tau(2, 3), tetrad_component(space, "y2")]
+    assert len(ops) == 12
+    for clone in CLONES.values():
+        for op, twin in zip(ops, clone(ops)):
+            assert twin._row == op._row and twin.nnz == op.nnz
+            np.testing.assert_array_equal(twin.coefficients, op.coefficients)
+
+
 @pytest.mark.parametrize("cutoff", [31, 45, 67])
 def test_lowering_table_matches_the_rank_beyond_the_pins(cutoff):
     space = FockSpace(cutoff)
