@@ -155,9 +155,6 @@ def _parse_op(tokens):
             r, s = int(tokens[1]), int(tokens[2])
         except ValueError:
             raise ValueError("tau mode indices must be integers 1..4") from None
-        # refused here, before the basis is built, with fock's own message
-        fock._mode_index(r)
-        fock._mode_index(s)
         return name, ((1.0, r, s),)
     if len(tokens) == 1 and name in fock.TETRAD_BILINEARS:
         return name, fock.TETRAD_BILINEARS[name]
@@ -186,6 +183,8 @@ def _cmd_fock(args) -> int:
 
     with _flag("--op"):
         name, terms = _parse_op(args.op)
+        # a bad tau mode is refused here, before the basis is built
+        coefficients = fock._coefficient_matrix(terms)
     with _flag("--cutoff"):
         space = fock.FockSpace(args.cutoff)
     doc = {
@@ -195,7 +194,7 @@ def _cmd_fock(args) -> int:
         "op": " ".join(args.op),
     }
     if args.matrix:
-        op = space.tau(*terms[0][1:]) if name == "tau" else fock.tetrad_component(space, name)
+        op = fock.BilinearOperator(space, coefficients)
         doc["triplets"] = [{"row": r, "col": c, "re": v.real, "im": v.imag} for r, c, v in op.triplets()]
     else:
         a_re, a_im, b_re, b_im, phi, scale = args.expect_coherent
@@ -207,7 +206,7 @@ def _cmd_fock(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         # sum_rs C_rs M_rs over the state's moments, bit for bit fock.expectation, no operator built
-        value = complex((fock._coefficient_matrix(terms) * space.moments(state)).sum())
+        value = complex((coefficients * space.moments(state)).sum())
         classical = _classical_expectation(name, terms, g, scale)
         doc["input"] = {"a": _pair(g.a), "b": _pair(g.b), "phi": g.phi, "scale": float(scale)}
         doc["expectation"] = _pair(value)

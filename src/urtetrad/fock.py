@@ -248,18 +248,19 @@ class BilinearOperator(SparseOperator):
     computed with the moments.  It keeps C read-only: C itself when C is a
     row of TETRAD_COEFFICIENTS, else a read-only copy, so no array a caller
     holds can change it.  Arithmetic on it (dagger, sums, products, scalar
-    multiples) gives plain SparseOperators.  The package builds and
-    unpickles it through _bilinear; the public constructor refuses
-    (ValueError) an op that is not the lift of C on space, entry for entry,
-    and otherwise holds the lift's arrays and no row.
+    multiples) gives plain SparseOperators.  BilinearOperator(space, C) is
+    the public lift of any finite 4x4 C on space, with no row; it refuses
+    (ValueError) a C of another shape or with a NaN or infinite entry.  The
+    package builds and unpickles it through _bilinear, with no check.
     """
 
     __slots__ = ("coefficients", "_space", "_row")
 
-    def __init__(self, op: SparseOperator, space: "FockSpace", coefficients):
-        lift = space._bilinears([(np.asarray(coefficients, dtype=complex), None)])[0]
-        if not all(np.array_equal(getattr(op, name, None), getattr(lift, name)) for name in SparseOperator.__slots__):
-            raise ValueError("the operator is not the lift of its coefficient matrix on the space")
+    def __init__(self, space: "FockSpace", coefficients):
+        coefficients = np.asarray(coefficients, dtype=complex)
+        if coefficients.shape != (N_MODES, N_MODES) or not np.isfinite(coefficients).all():
+            raise ValueError(f"coefficients must be a finite {N_MODES}x{N_MODES} matrix")
+        lift = space._bilinears([(coefficients, None)])[0]
         _fill(self, lift._data, lift._indices, lift._indptr, lift.coefficients, space, None)
 
     def __reduce__(self):
@@ -731,13 +732,22 @@ def coherent_bilinear_value(amps: BispinorAmplitudes, scale: float, terms) -> co
     For coherent amplitudes alpha_r, <tau_rs> = conj(alpha_r) alpha_s plus
     the zero-point 1/2 on the diagonal; truncation error is not included.
     The modes r and s of each (coeff, r, s) term are integers 1..4; anything
-    else raises BadModeError.
+    else raises BadModeError.  A non-finite scale, and a value that is not
+    finite (a NaN coefficient or amplitude, an overflowing moment), raise
+    ValueError.
     """
-    alphas = float(scale) * amps.as_array()
+    scale = float(scale)
+    if not math.isfinite(scale):
+        raise ValueError(f"coherent scale {scale!r} is not finite")
     total = 0.0 + 0.0j
-    for coeff, r, s in terms:
-        moment = np.conj(alphas[_mode_index(r)]) * alphas[_mode_index(s)]
-        total += coeff * (moment + (0.5 if r == s else 0.0))
+    # an overflow or a NaN shows in the total, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        alphas = scale * amps.as_array()
+        for coeff, r, s in terms:
+            moment = np.conj(alphas[_mode_index(r)]) * alphas[_mode_index(s)]
+            total += coeff * (moment + (0.5 if r == s else 0.0))
+    if not cmath.isfinite(total):
+        raise ValueError(f"coherent bilinear value {complex(total)!r} is not finite")
     return complex(total)
 
 

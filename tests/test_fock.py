@@ -132,6 +132,35 @@ def test_coherent_bilinear_value_refuses_a_bad_mode():
     assert coherent_bilinear_value(amps, 1.0, ((1.0, 2.0, 2),)) == coherent_bilinear_value(amps, 1.0, ((1.0, 2, 2),))
 
 
+@pytest.mark.parametrize(
+    "scale, terms",
+    [
+        (math.nan, ((1.0, 1, 2),)),
+        (math.inf, ((1.0, 1, 2),)),
+        (-math.inf, ((1.0, 3, 3),)),
+        (1e200, ((1.0, 1, 2),)),
+        (1e200, ((0.5, 4, 4),)),
+        (1.0, ((math.nan, 1, 2),)),
+        (1.0, ((complex(0.0, math.inf), 2, 2),)),
+    ],
+)
+def test_coherent_bilinear_value_refuses_what_is_not_finite(scale, terms):
+    # as coherent_state does: a ValueError, and no RuntimeWarning (an error here) before it
+    amps = BispinorAmplitudes.from_element(GroupElement(0.6, 0.8j))
+    with pytest.raises(ValueError, match="not finite"):
+        coherent_bilinear_value(amps, scale, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(amps=st.lists(EDGE_COMPLEX, min_size=4, max_size=4), scale=EDGE_FLOATS)
+def test_coherent_bilinear_value_refuses_or_is_finite(amps, scale):
+    try:
+        value = coherent_bilinear_value(BispinorAmplitudes(*amps), scale, TETRAD_BILINEARS["x3"])
+    except ValueError:
+        return
+    assert math.isfinite(value.real) and math.isfinite(value.imag)
+
+
 def test_annihilator_frozen_cutoff1():
     # basis order: vacuum, then (0,0,0,1), (0,0,1,0), (0,1,0,0), (1,0,0,0)
     space = FockSpace(1)
@@ -399,7 +428,7 @@ def test_t0_and_every_tau_rr_share_the_diagonal_pattern(cutoff):
 def test_a_diagonal_term_with_an_imaginary_coefficient_is_kept():
     space = FockSpace(4)
     for terms in (((0.5j, 1, 1), (0.25, 2, 2), (-1.5 + 0.5j, 4, 4)), ((1j, 3, 3),), ((2.0, 2, 2), (-0.5j, 2, 2))):
-        op = space._bilinears([(fock._coefficient_matrix(terms), None)])[0]
+        op = BilinearOperator(space, fock._coefficient_matrix(terms))
         want = SparseOperator.from_diagonal(
             sum(complex(c) * (space.occupations[:, r - 1] + 0.5) for c, r, _ in terms)
         ).matrix
@@ -431,7 +460,7 @@ def test_a_mixed_coefficient_matrix_lifts_with_its_zero_point(cutoff):
     state = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
     state /= np.linalg.norm(state)
     for c in _mixed_coefficients(200 + cutoff):
-        op = space._bilinears([(c, None)])[0]
+        op = BilinearOperator(space, c)
         assert np.abs(op.to_dense() - _dense_lift(space, c)).max() < 1e-12
         assert abs(expectation(op, state) - np.vdot(state, op @ state)) < 1e-12
 
@@ -457,7 +486,7 @@ def test_members_with_different_moves_each_get_their_own_lift(cutoff):
         ops = space._bilinears([(c, None) for c in members])
         for c, op in zip(members, ops):
             assert np.abs(op.to_dense() - _dense_lift(space, c)).max() < 1e-12
-            alone = space._bilinears([(c, None)])[0].matrix
+            alone = BilinearOperator(space, c).matrix
             for part in ("data", "indices", "indptr"):
                 assert getattr(op.matrix, part).tobytes() == getattr(alone, part).tobytes(), part
 
@@ -468,7 +497,7 @@ def test_a_bilinear_keeps_its_own_copy_of_a_callers_coefficients():
     state = moment_states(space, 23)[2]
     for make in (
         lambda c: space._bilinears([(c, None)])[0],
-        lambda c: BilinearOperator(space._bilinears([(c.copy(), None)])[0], space, c),
+        lambda c: BilinearOperator(space, c),
     ):
         buffer = base.copy()
         view = buffer[:, :]
@@ -484,34 +513,58 @@ def test_a_bilinear_keeps_its_own_copy_of_a_callers_coefficients():
 
 
 def test_a_public_bilinear_must_be_the_lift_of_its_coefficients():
-    space = FockSpace(2)
-    t0 = fock.TETRAD_COEFFICIENTS[0]
-    refused = (
-        (space.tau(1, 2), np.eye(4)),
-        (space.tau(1, 2), t0),
-        (tetrad_component(FockSpace(1), "t0"), t0),
-        (space.identity(), t0),
-        (2 * tetrad_component(space, "x1"), fock.TETRAD_COEFFICIENTS[4]),
-        (space.tau(1, 2).matrix, space.tau(1, 2).coefficients),
-    )
-    for op, c in refused:
-        with pytest.raises(ValueError):
-            BilinearOperator(op, space, c)
-    # a row is the package's own: the public constructor takes none
-    with pytest.raises(TypeError):
-        BilinearOperator(tetrad_component(space, "t0"), space, t0, 0)
-    state = coherent_state(space, BispinorAmplitudes.from_element(GroupElement(0.6, 0.8j)), 0.01)
-    for name in TETRAD_BILINEARS:
-        built = tetrad_component(space, name)
-        # a dense copy of the lift, or the lift summed from two halves, is taken
-        for op in (SparseOperator(built.to_dense()), 0.5 * built + 0.5 * built):
-            twin = BilinearOperator(op, space, np.array(built.coefficients))
+    # every tetrad row, every unit matrix E_rs and mixed C, each as a caller's complex array
+    for cutoff in (0, 1, 3, 4):
+        space = FockSpace(cutoff)
+        rng = np.random.default_rng(320 + cutoff)
+        state = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+        for c in (*fock.TETRAD_COEFFICIENTS, *np.eye(16).reshape(16, 4, 4), *_mixed_coefficients(220 + cutoff)):
+            c = np.array(c, dtype=complex)
+            twin = BilinearOperator(space, c)
+            built = space._bilinears([(c, None)])[0]
             assert twin._row is None and not twin.coefficients.flags.writeable
+            assert not np.shares_memory(twin.coefficients, c)
+            np.testing.assert_array_equal(twin.coefficients, c)
             # it holds the lift's own arrays, dtypes included
             for part in SparseOperator.__slots__:
-                assert getattr(twin, part).tobytes() == getattr(built, part).tobytes(), (name, part)
-                assert getattr(twin, part).dtype == getattr(built, part).dtype, (name, part)
-            assert abs(expectation(twin, state) - np.vdot(state, twin @ state)) < 1e-12, name
+                assert getattr(twin, part).tobytes() == getattr(built, part).tobytes(), (cutoff, c, part)
+                assert getattr(twin, part).dtype == getattr(built, part).dtype, (cutoff, c, part)
+            assert abs(expectation(twin, state) - np.vdot(state, twin @ state)) < 1e-12, (cutoff, c)
+    # the lift needs no operator, and takes no row: both are the package's own
+    t0 = fock.TETRAD_COEFFICIENTS[0]
+    with pytest.raises(TypeError):
+        BilinearOperator(tetrad_component(space, "t0"), space, t0)
+    with pytest.raises(TypeError):
+        BilinearOperator(space, t0, 0)
+
+
+def _unit(r, s, value):
+    """The 4x4 matrix holding value at 0-based (r, s) and 0 elsewhere."""
+    c = np.zeros((4, 4), dtype=complex)
+    c[r, s] = value
+    return c
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        np.eye(3),
+        np.eye(5),
+        np.zeros((1, 4, 4)),
+        np.ones(16),
+        [[1.0] * 4] * 3,
+        np.full((4, 4), math.inf),
+        _unit(0, 1, -math.inf),
+        _unit(2, 2, math.nan),
+        _unit(3, 0, complex(0.0, math.inf)),
+        _unit(1, 3, complex(math.nan, 1.0)),
+        [[1.0, 2.0, 3.0, math.nan]] + [[0.0] * 4] * 3,
+    ],
+)
+def test_the_public_lift_refuses_a_coefficient_matrix_that_is_not_finite_4x4(coefficients):
+    # under filterwarnings = error, a RuntimeWarning before the refusal fails the test too
+    with pytest.raises(ValueError, match="finite 4x4"):
+        BilinearOperator(FockSpace(2), coefficients)
 
 
 def test_built_copied_and_unpickled_bilinears_skip_the_public_check(monkeypatch):
@@ -520,14 +573,19 @@ def test_built_copied_and_unpickled_bilinears_skip_the_public_check(monkeypatch)
     def refuse(*args):
         raise AssertionError("the public constructor was called")
 
+    # a public lift, made before the constructor is refused, clones with row None
+    lift = BilinearOperator(space, _mixed_coefficients(230)[2])
+    assert lift._row is None
     monkeypatch.setattr(BilinearOperator, "__init__", refuse)
     ops = [op for _, op in operator_tetrad(space).components() if isinstance(op, BilinearOperator)]
-    ops += [space.tau(2, 3), tetrad_component(space, "y2")]
-    assert len(ops) == 12
+    ops += [space.tau(2, 3), tetrad_component(space, "y2"), lift]
+    assert len(ops) == 13
     for clone in CLONES.values():
         for op, twin in zip(ops, clone(ops)):
             assert twin._row == op._row and twin.nnz == op.nnz
             np.testing.assert_array_equal(twin.coefficients, op.coefficients)
+            for part in SparseOperator.__slots__:
+                assert getattr(twin, part).tobytes() == getattr(op, part).tobytes(), part
 
 
 @pytest.mark.parametrize("cutoff", [31, 45, 67])

@@ -61,8 +61,10 @@ def _loaded(code, child_env):
         (CLI.format(["cosmos", "--r0", "1", "--c", "1", "--epoch", "2"]), False),
         (CLI.format(["tetrad", "--quat", "1", "0", "0", "0", "--real"]), False),
         ("from urtetrad.fock import FockSpace, operator_tetrad; operator_tetrad(FockSpace(1))", False),
+        ("import numpy as np\nfrom urtetrad.fock import BilinearOperator, FockSpace\n"
+         "BilinearOperator(FockSpace(1), np.eye(4))", False),
     ],
-    ids=["import", "cli-cosmos", "cli-tetrad", "operator_tetrad"],
+    ids=["import", "cli-cosmos", "cli-tetrad", "operator_tetrad", "public_lift"],
 )
 def test_scipy_loaded_only_by_operator_builds(code, loads_scipy, child_env):
     assert ("scipy" in _loaded(code, child_env)) == loads_scipy
@@ -118,9 +120,10 @@ EXPECT = ["--expect-coherent", "0.6", "0", "0", "-0.8", "0.3", "5e-5"]
         (["fock", "--cutoff", "30", "--op", "z1", *EXPECT], "scipy", "numpy"),
         (["fock", "--cutoff", "30", "--op", "tau", "2", "3", *EXPECT], "scipy", "numpy"),
         (["fock", "--cutoff", "1", "--op", "tau", "2", "3", "--matrix"], "scipy", "numpy"),
+        (["fock", "--cutoff", "1", "--op", "z1", "--matrix"], "scipy", "numpy"),
     ],
     ids=["cosmos", "help", "verify-help", "expect-0-z1", "expect-0-tau", "expect-30-z1",
-         "expect-30-tau", "matrix"],
+         "expect-30-tau", "matrix", "matrix-z1"],
 )
 def test_each_cli_path_loads_only_what_it_uses(argv, absent, present, route, child_env):
     loaded = _top_level_imports(argv, route, child_env)
