@@ -36,10 +36,7 @@ _EXPORTS = {
         "coherent_bilinear_value", "coherent_state", "expectation", "operator_tetrad",
         "tetrad_component", "tetrad_expectations",
     ),
-    "cosmos": (
-        "UR_COUNT_REFERENCE", "ExpansionModel", "NegativeEpochError", "radius_at",
-        "ur_count_reference",
-    ),
+    "cosmos": ("UR_COUNT_REFERENCE", "ExpansionModel", "NegativeEpochError", "radius_at"),
     "verify": ("run_verification",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

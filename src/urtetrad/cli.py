@@ -229,7 +229,7 @@ def _cmd_cosmos(args) -> int:
         "c": model.c,
         "epoch": float(args.epoch),
         "radius": radius,
-        "ur_count_reference": cosmos.ur_count_reference(),
+        "ur_count_reference": cosmos.UR_COUNT_REFERENCE,
     }
     print(dumps17(doc))
     return 0

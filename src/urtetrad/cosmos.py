@@ -12,11 +12,12 @@ __all__ = [
     "NegativeEpochError",
     "ExpansionModel",
     "radius_at",
-    "ur_count_reference",
 ]
 
-# reference number of urs at the present epoch; a quoted estimate, not a
-# derived quantity
+# reference number of urs at the present epoch, about 1e120; a quoted
+# estimate, not a derived quantity.  Under open finitism the number of urs
+# at any epoch is finite and grows with cosmic time; no derivation of it is
+# attempted.
 UR_COUNT_REFERENCE = 1e120
 
 
@@ -52,13 +53,3 @@ def radius_at(model: ExpansionModel, epoch: float) -> float:
     if not math.isfinite(radius):
         raise ValueError(f"radius at epoch {epoch!r} overflows to {radius!r}")
     return radius
-
-
-def ur_count_reference() -> float:
-    """Reference ur count at the present epoch, about 1e120.
-
-    Under open finitism the number of urs at any epoch is finite and grows
-    with cosmic time; this quoted estimate is exposed as a constant, with
-    no derivation attempted.
-    """
-    return UR_COUNT_REFERENCE

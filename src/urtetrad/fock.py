@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,10 +121,6 @@ class SparseOperator:
         return _csr, (self._data, self._indices, self._indptr)
 
     @staticmethod
-    def identity(dimension: int) -> "SparseOperator":
-        return SparseOperator.from_diagonal(np.ones(dimension))
-
-    @staticmethod
     def zero(dimension: int) -> "SparseOperator":
         return _csr(np.zeros(0, complex), np.zeros(0, np.int32), np.zeros(dimension + 1, np.int32))
 
@@ -200,24 +197,21 @@ class SparseOperator:
 
 def _fill(op, data, indices, indptr, *bilinear):
     """op holding sorted, deduplicated CSR arrays less their explicit zeros (-0.0 too, not
-    NaN), frozen in place, not copied, so a shared pattern stays shared, and then a
-    BilinearOperator's coefficients, space and row (see there)."""
+    NaN), and then a BilinearOperator's coefficients, space and row (see there).  The
+    arrays and the coefficients are frozen in place, not copied, so a shared pattern or
+    table row stays shared; a caller hands it only arrays that no one else can write."""
     if not data.all():
         keep = data != 0
         kept = np.zeros(len(data) + 1, dtype=indptr.dtype)
         np.cumsum(keep, out=kept[1:])
         data, indices, indptr = data[keep], indices[keep], kept[indptr]
-    data.setflags(write=False)
-    indices.setflags(write=False)
-    indptr.setflags(write=False)
+    for array in (data, indices, indptr, *bilinear[:1]):
+        array.setflags(write=False)
     object.__setattr__(op, "_data", data)
     object.__setattr__(op, "_indices", indices)
     object.__setattr__(op, "_indptr", indptr)
     if bilinear:
         coefficients, space, row = bilinear
-        if coefficients.base is not TETRAD_COEFFICIENTS:
-            coefficients = coefficients.copy()
-            coefficients.setflags(write=False)
         object.__setattr__(op, "coefficients", coefficients)
         object.__setattr__(op, "_space", space)
         # no row without entries (spatial, at cutoff 0), so expectation gives 0j
@@ -245,19 +239,21 @@ class BilinearOperator(SparseOperator):
     expectation contracts C with the state's moments (FockSpace.moments)
     instead of multiplying by the matrix; a tetrad component with entries
     knows its row of TETRAD_COEFFICIENTS and reads its value from the ten
-    computed with the moments.  It keeps C read-only: C itself when C is a
-    row of TETRAD_COEFFICIENTS, else a read-only copy, so no array a caller
-    holds can change it.  Arithmetic on it (dagger, sums, products, scalar
-    multiples) gives plain SparseOperators.  BilinearOperator(space, C) is
-    the public lift of any finite 4x4 C on space, with no row; it refuses
-    (ValueError) a C of another shape or with a NaN or infinite entry.  The
-    package builds and unpickles it through _bilinear, with no check.
+    computed with the moments.  It keeps C read-only.  Arithmetic on it
+    (dagger, sums, products, scalar multiples) gives plain SparseOperators.
+    BilinearOperator(space, C) is the public lift of any finite 4x4 C on
+    space, with no row; it keeps a copy of the caller's C, so no array a
+    caller holds can change it, and refuses (ValueError) a C of another
+    shape or with a NaN or infinite entry.  The package builds and unpickles
+    it through _bilinear, with no check, from a C no caller holds (a row of
+    TETRAD_COEFFICIENTS, which stays shared, tau's unit matrix or a pickle's
+    new array), which _fill freezes in place.
     """
 
     __slots__ = ("coefficients", "_space", "_row")
 
     def __init__(self, space: "FockSpace", coefficients):
-        coefficients = np.asarray(coefficients, dtype=complex)
+        coefficients = np.array(coefficients, dtype=complex)  # the one copy of a caller's C
         if coefficients.shape != (N_MODES, N_MODES) or not np.isfinite(coefficients).all():
             raise ValueError(f"coefficients must be a finite {N_MODES}x{N_MODES} matrix")
         lift = space._bilinears([(coefficients, None)])[0]
@@ -274,8 +270,8 @@ def _bilinear(*arrays_and_slots) -> BilinearOperator:
 
 def _mode_index(r: int) -> int:
     """The 0-based index of mode r, an integer 1..4 (2.0 reads as 2);
-    anything else raises BadModeError."""
-    if r not in (1, 2, 3, 4):
+    anything else, a complex number or an array too, raises BadModeError."""
+    if not isinstance(r, numbers.Real) or r not in (1, 2, 3, 4):
         raise BadModeError(f"mode index {r!r} outside 1..{N_MODES}")
     return int(r) - 1
 
@@ -379,7 +375,7 @@ class FockSpace:
         self.dimension = dimension
         self.occupations = _occupations(cutoff)
         self.occupations.setflags(write=False)
-        # (order, indices, indptr) of sums of a_k^+ a_j by their pairs, from _pattern
+        # (indices, indptr) of sums of a_k^+ a_j by their moves, from _pattern
         self._patterns = {}
         # (positions, weights), filled by _lowering
         self._lowered = None
@@ -463,7 +459,7 @@ class FockSpace:
         return np.flatnonzero(self.occupations.sum(axis=1) < self.cutoff)
 
     def identity(self) -> SparseOperator:
-        return SparseOperator.identity(self.dimension)
+        return SparseOperator.from_diagonal(np.ones(self.dimension))
 
     def total_quanta(self) -> SparseOperator:
         """Diagonal operator counting total occupation."""
@@ -506,7 +502,7 @@ class FockSpace:
         """One pass over the basis for sum_rs C[r-1, s-1] tau_rs over its moves in
         column order (see _pairs): the canonical CSR pattern (read-only int32 indices
         and indptr), each entry's term and root, and the diagonal's places, None
-        without (0, 0).  The space keeps (moves, indices, indptr) under the moves, for
+        without (0, 0).  The space keeps (indices, indptr) under the moves, for
         the operators to share; the per-entry scratch it does not.
 
         a_k^+ a_j |p + e_j> = sqrt(p_k + 1) sqrt(p_j + 1) |p + e_k> for p on the basis of
@@ -539,7 +535,7 @@ class FockSpace:
                 places = dest
         indices.setflags(write=False)
         indptr.setflags(write=False)
-        return (*self._patterns.setdefault(moves, (moves, indices, indptr))[1:], term, roots, places)
+        return (*self._patterns.setdefault(moves, (indices, indptr)), term, roots, places)
 
     def _bilinears(self, members, moves=None) -> list:
         """Per (C, row) member, sum_rs C[r-1, s-1] tau_rs, row its row of TETRAD_COEFFICIENTS

@@ -193,10 +193,11 @@ def _fock(rng, samples, cutoff):
     space = fock.FockSpace(cutoff)
     eye = space.identity()
     ann = {r: space.annihilator(r) for r in _MODES}
-    cre = {r: ann[r].dagger() for r in _MODES}
+    cre = {r: space.creator(r) for r in _MODES}
     safe = space.safe_indices()
     taus = {(r, s): space.tau(r, s) for r in _MODES for s in _MODES}
-    comps = {name: fock.tetrad_component(space, name) for name in fock.TETRAD_BILINEARS}
+    # the components operator_tetrad serves, in TETRAD_BILINEARS order
+    comps = {name: op for name, op in fock.operator_tetrad(space).components() if name in fock.TETRAD_BILINEARS}
     devs = collections.defaultdict(list)  # record -> one deviation per operator or draw
     for (r, s), tau in taus.items():
         comm = ann[r] @ cre[s] - cre[s] @ ann[r]

@@ -114,18 +114,25 @@ def test_bad_mode():
 @pytest.mark.parametrize("cutoff", [0, 4])
 def test_an_integral_float_mode_is_that_mode(cutoff):
     space = FockSpace(cutoff)
-    for got, want in ((space.tau(1.0, 2), space.tau(1, 2)), (space.annihilator(2.0), space.annihilator(2))):
+    for got, want in (
+        (space.tau(1.0, 2), space.tau(1, 2)),
+        (space.tau(np.float32(1), np.int64(2)), space.tau(1, 2)),
+        (space.annihilator(2.0), space.annihilator(2)),
+        (space.annihilator(np.int8(2)), space.annihilator(2)),
+    ):
         for part in ("data", "indices", "indptr"):
             assert getattr(got.matrix, part).tobytes() == getattr(want.matrix, part).tobytes(), part
-    for r in (1.5, 0, math.nan):
+    for r in (1.5, 0, math.nan, 1 + 0j, np.array([1, 2])):
         with pytest.raises(BadModeError):
             space.annihilator(r)
+        with pytest.raises(BadModeError):
+            space.tau(r, 2)
 
 
 def test_coherent_bilinear_value_refuses_a_bad_mode():
     amps = BispinorAmplitudes(1, 2, 3, 4)
     # no mode outside 1..4 may wrap round to another mode's amplitude
-    for r in (0, -1, 5, 1.5, math.nan):
+    for r in (0, -1, 5, 1.5, math.nan, 1 + 0j, np.array([1, 2])):
         for terms in (((1.0, r, r),), ((1.0, 1, r),), ((1.0, r, 1),)):
             with pytest.raises(BadModeError):
                 coherent_bilinear_value(amps, 1.0, terms)
@@ -379,15 +386,15 @@ def test_a_built_space_keeps_no_per_entry_scratch():
     operator_tetrad(space)
     assert len(space._patterns) == 4
     kept = [space.occupations, *space._lowering()]
-    for order, indices, indptr in space._patterns.values():
+    for indices, indptr in space._patterns.values():
         assert indices.dtype == indptr.dtype == np.int32
         assert not indices.flags.writeable and not indptr.flags.writeable
         kept += [indices, indptr]
     # three 4-term patterns of 4 D' entries and one diagonal pattern of D
-    *moves, diagonal = sorted(space._patterns.values(), key=lambda pattern: -len(pattern[0]))
-    for order, indices, indptr in moves:
+    *moves, diagonal = sorted(space._patterns.items(), key=lambda pattern: -len(pattern[0]))
+    for order, (indices, indptr) in moves:
         assert len(order) == 4 and indices.size == indptr[-1] == 4 * space._lowering()[0].shape[1]
-    order, indices, indptr = diagonal
+    order, (indices, indptr) = diagonal
     assert order == ((0, 0),) and indices.size == indptr[-1] == space.dimension
     np.testing.assert_array_equal(indptr, np.arange(space.dimension + 1))
     # every array the space holds is the basis, the lowering table or a pattern
@@ -495,21 +502,17 @@ def test_a_bilinear_keeps_its_own_copy_of_a_callers_coefficients():
     space = FockSpace(2)
     base = fock._coefficient_matrix(((0.5, 1, 2), (0.5, 2, 1), (1j, 3, 4), (-1j, 4, 3)))
     state = moment_states(space, 23)[2]
-    for make in (
-        lambda c: space._bilinears([(c, None)])[0],
-        lambda c: BilinearOperator(space, c),
-    ):
-        buffer = base.copy()
-        view = buffer[:, :]
-        op = make(view)
-        before = expectation(op, state)
-        assert abs(before - np.vdot(state, op @ state)) < 1e-12
-        # the caller's arrays stay writable, and writing them reaches no operator
-        assert view.flags.writeable and buffer.flags.writeable
-        view[0, 1] = buffer[1, 0] = 5
-        np.testing.assert_array_equal(op.coefficients, base)
-        assert not op.coefficients.flags.writeable
-        assert expectation(op, state) == before
+    buffer = base.copy()
+    view = buffer[:, :]
+    op = BilinearOperator(space, view)
+    before = expectation(op, state)
+    assert abs(before - np.vdot(state, op @ state)) < 1e-12
+    # the caller's arrays stay writable, and writing them reaches no operator
+    assert view.flags.writeable and buffer.flags.writeable
+    view[0, 1] = buffer[1, 0] = 5
+    np.testing.assert_array_equal(op.coefficients, base)
+    assert not op.coefficients.flags.writeable
+    assert expectation(op, state) == before
 
 
 def test_a_public_bilinear_must_be_the_lift_of_its_coefficients():
@@ -584,6 +587,7 @@ def test_built_copied_and_unpickled_bilinears_skip_the_public_check(monkeypatch)
         for op, twin in zip(ops, clone(ops)):
             assert twin._row == op._row and twin.nnz == op.nnz
             np.testing.assert_array_equal(twin.coefficients, op.coefficients)
+            assert not twin.coefficients.flags.writeable
             for part in SparseOperator.__slots__:
                 assert getattr(twin, part).tobytes() == getattr(op, part).tobytes(), part
 
@@ -795,7 +799,7 @@ def test_tetrad_bilinears_are_t0_then_the_spatial_frame_rows():
 
 
 def test_sparse_operator_algebra():
-    eye = SparseOperator.identity(3)
+    eye = SparseOperator.from_diagonal(np.ones(3))
     twice = eye + eye
     assert (2.0 * eye - twice).max_abs() == 0.0
     assert (-eye + eye).max_abs() == 0.0
@@ -803,7 +807,7 @@ def test_sparse_operator_algebra():
 
 
 def test_expectation_contracts():
-    eye = SparseOperator.identity(4)
+    eye = SparseOperator.from_diagonal(np.ones(4))
     state = np.full(4, 0.5, dtype=complex)
     assert expectation(eye, state) == pytest.approx(1.0)
     with pytest.raises(DimensionMismatchError):
@@ -1278,6 +1282,7 @@ def test_bilinear_coefficients():
     assert x2[0, 3] == -0.5j and x2[3, 0] == 0.5j and np.count_nonzero(x2) == 4
     with pytest.raises(ValueError):
         tau.coefficients[0, 0] = 1.0
+    assert not any(space.tau(r, s).coefficients.flags.writeable for r in MODES for s in MODES)
 
 
 def test_moments_are_read_only_and_kept_for_the_state_made_last():
@@ -1513,6 +1518,9 @@ def test_tetrad_coefficients_are_the_read_only_rows_of_the_components():
     for row, (name, terms) in enumerate(TETRAD_BILINEARS.items()):
         np.testing.assert_array_equal(fock.TETRAD_COEFFICIENTS[row], _terms_matrix(terms))
         assert np.shares_memory(tetrad_component(space, name).coefficients, fock.TETRAD_COEFFICIENTS)
+    served = dict(operator_tetrad(space).components())
+    for name in TETRAD_BILINEARS:
+        assert np.shares_memory(served[name].coefficients, fock.TETRAD_COEFFICIENTS), name
 
 
 def test_ten_expectations_of_one_coherent_state_cost_one_moment_matrix_and_one_contraction(monkeypatch):

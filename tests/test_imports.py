@@ -1,8 +1,9 @@
 """Each code path loads only the dependencies it uses: the package import,
 `cosmos` and the help screens load no numpy; scipy is loaded only where a
 caller asks an operator for its scipy matrix, directly or through its
-arithmetic, so operator builds, `fock --expect-coherent` and `fock --matrix`
-load none.  Each case runs in a fresh interpreter."""
+arithmetic, so operator builds, `fock --expect-coherent`, `fock --matrix`
+and verify's spinor and tetrad suites load none.  Each case runs in a fresh
+interpreter."""
 
 import ast
 import pickle
@@ -36,10 +37,7 @@ EXPORTED = {
         "coherent_state", "expectation", "operator_tetrad", "tetrad_component",
         "tetrad_expectations",
     ],
-    cosmos: [
-        "UR_COUNT_REFERENCE", "ExpansionModel", "NegativeEpochError", "radius_at",
-        "ur_count_reference",
-    ],
+    cosmos: ["UR_COUNT_REFERENCE", "ExpansionModel", "NegativeEpochError", "radius_at"],
     verify: ["run_verification"],
 }
 
@@ -115,6 +113,8 @@ EXPECT = ["--expect-coherent", "0.6", "0", "0", "-0.8", "0.3", "5e-5"]
         (["cosmos", "--r0", "1", "--c", "1", "--epoch", "2"], "numpy", "urtetrad"),
         (["--help"], "numpy", "argparse"),
         (["verify", "--help"], "numpy", "argparse"),
+        (["verify", "--suite", "spinor", "--samples", "10"], "scipy", "numpy"),
+        (["verify", "--suite", "tetrad", "--samples", "10"], "scipy", "numpy"),
         (["fock", "--cutoff", "0", "--op", "z1", *EXPECT], "scipy", "numpy"),
         (["fock", "--cutoff", "0", "--op", "tau", "2", "3", *EXPECT], "scipy", "numpy"),
         (["fock", "--cutoff", "30", "--op", "z1", *EXPECT], "scipy", "numpy"),
@@ -122,8 +122,8 @@ EXPECT = ["--expect-coherent", "0.6", "0", "0", "-0.8", "0.3", "5e-5"]
         (["fock", "--cutoff", "1", "--op", "tau", "2", "3", "--matrix"], "scipy", "numpy"),
         (["fock", "--cutoff", "1", "--op", "z1", "--matrix"], "scipy", "numpy"),
     ],
-    ids=["cosmos", "help", "verify-help", "expect-0-z1", "expect-0-tau", "expect-30-z1",
-         "expect-30-tau", "matrix", "matrix-z1"],
+    ids=["cosmos", "help", "verify-help", "verify-spinor", "verify-tetrad", "expect-0-z1",
+         "expect-0-tau", "expect-30-z1", "expect-30-tau", "matrix", "matrix-z1"],
 )
 def test_each_cli_path_loads_only_what_it_uses(argv, absent, present, route, child_env):
     loaded = _top_level_imports(argv, route, child_env)
@@ -149,7 +149,7 @@ def test_the_package_resolves_its_names_on_first_use(child_env):
 
 def test_the_package_exports_each_module_name_once():
     names = [name for names in EXPORTED.values() for name in names]
-    assert len(names) == len(set(names)) == 53
+    assert len(names) == len(set(names)) == 52
     assert sorted(urtetrad.__all__) == sorted(names)
     for module, exported in EXPORTED.items():
         for name in exported:
