@@ -22,10 +22,10 @@ TETRAD_COEFFICIENTS, so all ten values of a state come from one
 contraction with its moments (tetrad_expectations).  A FockSpace owns
 one lowering table, a_r |m + e_r> = sqrt(m_r + 1) |m>, ranked in closed
 form from the basis order, which its ladder operators, its bilinears'
-patterns and its moments read; of a build it keeps only each pattern's
-indices and indptr.  It keeps the moments and ten values of the last
-state coherent_state made for it, which every reader gets through
-FockSpace._entry, and its bilinear operators hold it.
+patterns and its gathered moments read; of a build it keeps only each
+pattern's indices and indptr.  It keeps the closed-form moments and ten
+values of the last state coherent_state made for it, which every reader
+gets through FockSpace._entry, and its bilinear operators hold it.
 
 Every operator owns its CSR arrays, written here with numpy, with int32
 indices and indptr (MAX_STATES < 2**31); scipy is imported only to read a
@@ -410,10 +410,11 @@ class FockSpace:
         return self._lowered
 
     def _entry(self, state) -> tuple:
-        """(state, its moments, its ten tetrad values): the kept entry, before
-        any shape check, when state is the kept state; else computed, not
-        kept, from state as a complex (dimension,) array (DimensionMismatchError
-        for any other shape).
+        """(state, its moments, its ten tetrad values): the kept entry, in
+        closed form (see coherent_state), before any shape check, when state
+        is the kept state; else gathered, not kept, from state as a complex
+        (dimension,) array (DimensionMismatchError for any other shape), within
+        1e-12 of the closed form for a copy of a coherent state.
 
         In normal order, M_rs = <a_r psi | a_s psi> + delta_rs |psi|^2 / 2,
         so M is the 4x4 Gram matrix of the four lowered vectors, gathered
@@ -557,12 +558,12 @@ class FockSpace:
         return ops
 
     def moments(self, state) -> np.ndarray:
-        """Read-only (4, 4) moments M[r-1, s-1] = <state| tau_rs |state>,
-        read from the lowering table (see _entry).
+        """Read-only (4, 4) moments M[r-1, s-1] = <state| tau_rs |state>
+        (see _entry).
 
         Those of the last state coherent_state made for the space are kept,
-        so the operators evaluated on it share them; any other state's are
-        computed on each call.
+        in closed form, so the operators evaluated on it share them; any
+        other state's are gathered from the lowering table on each call.
         """
         return self._entry(state)[1]
 
@@ -681,8 +682,9 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
 
     The state is complex128 and frozen: its buffer is an immutable bytes
     object, so setflags(write=True) raises on it.  The space keeps its
-    moments and ten tetrad values, computed here, so the expectations of
-    all components on it cost one moment matrix.
+    moments, in closed form from the amplitudes with no pass over the basis,
+    and its ten tetrad values, so the expectations of all components on it
+    cost one 4x4 moment matrix and one contraction.
     """
     scale = float(scale)
     if not math.isfinite(scale):
@@ -718,7 +720,17 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
     parts = coeffs.view(float)
     parts *= 1.0 / math.sqrt(norm_sq)
     state = _frozen_state(coeffs)
-    space._memo = space._entry(state)
+    # a_s P<=C = P<=C-1 a_s, so M_rs = r1 conj(alpha_r) alpha_s + delta_rs / 2 with
+    # r1 = E_{C-1}(I) / E_C(I) = 1 - t_C / E_C, t_C = I^C / C! the last term of E_C
+    term = partial = 1.0
+    for n in range(1, space.cutoff + 1):
+        term *= intensity / n
+        partial += term
+    alphas = alphas + 0.0  # no -0.0 part reaches the products' signs
+    moments = (1.0 - term / partial) * np.multiply.outer(np.conj(alphas), alphas)
+    moments.reshape(-1)[:: N_MODES + 1] += 0.5
+    moments.setflags(write=False)
+    space._memo = state, moments, _tetrad_values(moments)
     return state
 
 

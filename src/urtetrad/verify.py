@@ -220,14 +220,16 @@ def _fock(rng, samples, cutoff):
             devs["spatial_zero_point_cancellation"].append((op - normal_ordered).max_abs())
 
     scale = _coherent_scale_for_cutoff(cutoff)
-    spinors, values, values_ph = [], [], []
+    spinors, values, gathered, values_ph = [], [], [], []
     for _ in range(samples):
         g = spinor.random_group_element(rng)
         d = spinor.dyad_from_element(g)
         spinors.append([d.u.components(), d.v.components()])
         amps = fock.BispinorAmplitudes.from_element(g)
         state = fock.coherent_state(space, amps, scale)
+        # the kept values, closed form, and a copy's, gathered over the basis
         values.append(fock.tetrad_expectations(space, state))
+        gathered.append(fock.tetrad_expectations(space, np.array(state)))
         ph = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         phased = fock.BispinorAmplitudes(*(ph * amps.as_array()))
         values_ph.append(fock.tetrad_expectations(space, fock.coherent_state(space, phased, scale)))
@@ -239,6 +241,7 @@ def _fock(rng, samples, cutoff):
     devs["classical_limit_spatial"] = _worst_part(values[:, 1:] - s2 * frame[:, 1:, 1:].reshape(samples, 9))
     devs["classical_limit_time"] = _worst_part(values[:, 0] - (2.0 + 2.0 * s2))
     devs["coherent_phase_covariance"] = _worst(values - values_ph)
+    devs["coherent_entry_matches_gather"] = _worst(values - np.array(gathered))
     return devs
 
 

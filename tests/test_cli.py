@@ -465,16 +465,31 @@ OPERATORS = [[name] for name in fock.TETRAD_BILINEARS] + [
 PAIR = ("-0.6", "-0.0", "-0.48", "0.64", "-0.7")
 
 
-@pytest.mark.parametrize("cutoff", [0, 1, 4, 12, 30])
+# sha256 of the --expect-coherent stdout of every operator in OPERATORS at
+# PAIR and verify's scale for the cutoff, recorded when the space kept a
+# coherent state's moments in closed form (all but cutoff 0 moved then, in
+# the last bits of "expectation" and "abs_diff")
+EXPECT_COHERENT_SHA256 = {
+    0: "cbc47b34edca12b8561dc5b0b930c2e3ec4ed82d6bf07daa535ed0faeabd5694",
+    1: "df5559436cc380d1d7f36fc5303162aa63be667bc310da073811b21cbbf40772",
+    4: "c4c030a8c9a858ca16a3d222d0a0c67b6ca7a8fd9f0b7ee702d1c921ef890f5e",
+    12: "13082e294819d534b24083954f5442b1e37a519f37dadf6e638b6e00fb9fe269",
+    30: "790304641a23f52b3585a3e7eb93aa4a88c9f785f80e7386c3679e160aa71c21",
+}
+
+
+@pytest.mark.parametrize("cutoff", sorted(EXPECT_COHERENT_SHA256))
 def test_expect_coherent_value_is_the_expectation_bit_for_bit(capsys, cutoff):
     scale = float(verify._coherent_scale_for_cutoff(cutoff))
     space = fock.FockSpace(cutoff)
     g = spinor.GroupElement(complex(-0.6, -0.0), complex(-0.48, 0.64), -0.7)
     state = fock.coherent_state(space, fock.BispinorAmplitudes.from_element(g), scale)
+    digest = hashlib.sha256()
     for op in OPERATORS:
         argv = ["fock", "--cutoff", str(cutoff), "--op", *op, "--expect-coherent", *PAIR, repr(scale)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
+        digest.update(out.encode())
         # parse_int keeps the sign of a printed -0
         got = json.loads(out, parse_int=float)["expectation"]
         if op[0] == "tau":
@@ -482,6 +497,7 @@ def test_expect_coherent_value_is_the_expectation_bit_for_bit(capsys, cutoff):
         else:
             want = fock.expectation(fock.tetrad_component(space, op[0]), state)
         assert [x.hex() for x in got] == [want.real.hex(), want.imag.hex()], op
+    assert digest.hexdigest() == EXPECT_COHERENT_SHA256[cutoff]
 
 
 # sha256 of the five help screens at 80 columns, as Python 3.11's argparse lays them out

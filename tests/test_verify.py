@@ -52,6 +52,7 @@ SKELETON = [
     ("classical_limit_spatial", 50, C),
     ("classical_limit_time", 50, C),
     ("coherent_phase_covariance", 50, T),
+    ("coherent_entry_matches_gather", 50, T),
 ]
 
 
@@ -91,6 +92,18 @@ def _add(orig, delta):
 
 def _add_each(orig, delta):
     return lambda *args: tuple(value + delta for value in orig(*args))
+
+
+def _shift_kept(orig, delta):
+    """coherent_state with delta added to the ten values its space keeps."""
+
+    def fake(space, amps, scale):
+        state = orig(space, amps, scale)
+        kept, moments, values = space._memo
+        space._memo = kept, moments, tuple(value + delta for value in values)
+        return state
+
+    return fake
 
 
 def _late(make):
@@ -133,8 +146,11 @@ FAULTS = {
     ),
     "expectation_nan": (
         fock, "tetrad_expectations", _late(_add_each), NAN,
-        {"classical_limit_spatial", "classical_limit_time", "coherent_phase_covariance"},
+        {"classical_limit_spatial", "classical_limit_time", "coherent_phase_covariance",
+         "coherent_entry_matches_gather"},
     ),
+    # far inside the classical tolerance, and the same on both states of a draw
+    "kept_entry": (fock, "coherent_state", _shift_kept, 1e-10, {"coherent_entry_matches_gather"}),
     "raise_index": (spinor, "raise_index", _scale_c1, 1 + 1e-15, {"raise_lower_roundtrip"}),
     "from_quaternion_phi": (spinor, "from_quaternion", _shift_phi, 1e-12, {"chart_roundtrip"}),
 }
@@ -156,7 +172,8 @@ def test_nan_deviation_fails_cli_with_json(monkeypatch, capsys):
     assert code == 1 and doc["pass"] is False
     failed = [r for r in doc["records"] if not r["pass"]]
     assert [r["name"] for r in failed] == [
-        "classical_limit_spatial", "classical_limit_time", "coherent_phase_covariance"
+        "classical_limit_spatial", "classical_limit_time", "coherent_phase_covariance",
+        "coherent_entry_matches_gather",
     ]
     assert all(r["max_deviation"] is None for r in failed)
 
@@ -173,16 +190,19 @@ def test_run_verification_rejects_bad_input(flag, value):
 
 
 # sha256 of the verify stdout, recorded when the record table replaced the
-# hand-written sweeps and re-recorded when expectations of the bilinears
+# hand-written sweeps, re-recorded when expectations of the bilinears
 # moved to the moment matrix, which changed the last bits of
-# coherent_phase_covariance alone; a refactor that keeps the draw order and
-# the summation order keeps these bytes.  The tetrad entry is the README's
-# example, recorded before the tetrad suite moved to stacked calls.
+# coherent_phase_covariance alone, and again when a coherent state kept
+# closed-form moments, which moved the last bits of the fock suite's
+# coherent records and appended coherent_entry_matches_gather; a refactor
+# that keeps the draw order and the summation order keeps these bytes.  The
+# tetrad entry is the README's example, recorded before the tetrad suite
+# moved to stacked calls.
 STDOUT_PINS = {
     ("--samples", "50", "--seed", "3", "--cutoff", "2"):
-        "3a417c5d374aee6918c5357fa3961277d8b4e4c9fc25b14a1ae40304e347f97b",
+        "73dcfe2567a81c0ce63b3d54405d9f749b5a1aebe140a00387fc70b06fcb28dd",
     ("--suite", "fock", "--samples", "30", "--seed", "11", "--cutoff", "6"):
-        "4db390b18989d066cf1a8c926ef90886a147f818901965fee05828e0efc67342",
+        "eac7ac74d69c305e23976d6be4db2bdc14833e59575d0503fe743973bbd3eeaa",
     ("--suite", "tetrad", "--samples", "1000", "--seed", "7"):
         "4c4d189fea77ebff4b2d640061b9c98618091ed4a8c3ad8534f7550ca533f5a5",
 }
