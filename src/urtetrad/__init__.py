@@ -32,9 +32,8 @@ _EXPORTS = {
     "fock": (
         "TETRAD_BILINEARS", "TETRAD_COEFFICIENTS", "BadModeError", "BilinearOperator",
         "BispinorAmplitudes", "CutoffTooLargeError", "DimensionMismatchError", "FockSpace",
-        "OperatorTetrad", "SparseOperator", "TruncationTooLossyError",
-        "coherent_bilinear_value", "coherent_state", "expectation", "operator_tetrad",
-        "tetrad_component", "tetrad_expectations",
+        "OperatorTetrad", "SparseOperator", "TruncationTooLossyError", "coherent_state",
+        "expectation", "operator_tetrad", "tetrad_component", "tetrad_expectations",
     ),
     "cosmos": ("UR_COUNT_REFERENCE", "ExpansionModel", "NegativeEpochError", "radius_at"),
     "verify": ("run_verification",),

@@ -162,18 +162,19 @@ def _parse_op(tokens):
     raise ValueError(f"unknown operator {' '.join(tokens)!r}; known: {known}")
 
 
-def _classical_expectation(name, terms, g, scale):
+def _classical_expectation(name, coefficients, g, scale):
     """Analytic prediction for the coherent-state expectation of the operator.
 
     Spatial tetrad components compare against scale^2 times the classical
-    real-tetrad component; the time component keeps its zero-point shift 2;
-    tau components use the coherent moment conj(alpha_r) alpha_s plus the
-    diagonal half.
+    real-tetrad component; tau and t0 contract their coefficient matrix with
+    the untruncated coherent moments conj(alpha_r) alpha_s plus the diagonal
+    half, so t0 keeps its zero-point shift 2.
     """
     from . import fock, spinor, tetrad
 
     if name in ("tau", "t0"):
-        return fock.coherent_bilinear_value(fock.BispinorAmplitudes.from_element(g), scale, terms)
+        alphas = scale * fock.BispinorAmplitudes.from_element(g).as_array()
+        return complex((coefficients * fock._coherent_moments(alphas, 1.0)).sum())
     vec = getattr(tetrad.real_tetrad(spinor.dyad_from_element(g)), name[0])
     return complex(scale * scale * vec[int(name[1])])
 
@@ -207,7 +208,7 @@ def _cmd_fock(args) -> int:
             return 1
         # sum_rs C_rs M_rs over the state's moments, bit for bit fock.expectation, no operator built
         value = complex((coefficients * space.moments(state)).sum())
-        classical = _classical_expectation(name, terms, g, scale)
+        classical = _classical_expectation(name, coefficients, g, scale)
         doc["input"] = {"a": _pair(g.a), "b": _pair(g.b), "phi": g.phi, "scale": float(scale)}
         doc["expectation"] = _pair(value)
         doc["classical"] = _pair(classical)

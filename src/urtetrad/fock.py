@@ -23,9 +23,11 @@ contraction with its moments (tetrad_expectations).  A FockSpace owns
 one lowering table, a_r |m + e_r> = sqrt(m_r + 1) |m>, ranked in closed
 form from the basis order, which its ladder operators, its bilinears'
 patterns and its gathered moments read; of a build it keeps only each
-pattern's indices and indptr.  It keeps the closed-form moments and ten
-values of the last state coherent_state made for it, which every reader
-gets through FockSpace._entry, and its bilinear operators hold it.
+pattern's indices and indptr.  It keeps the moments and ten values of the
+last state coherent_state made for it, which every reader gets through
+FockSpace._entry, and its bilinear operators hold it.  One closed form in
+the state's intensity I, E_C(I) = sum_{n<=C} I^n / n!, gates that state,
+normalises it and gives its moments.
 
 Every operator owns its CSR arrays, written here with numpy, with int32
 indices and indptr (MAX_STATES < 2**31); scipy is imported only to read a
@@ -62,7 +64,6 @@ __all__ = [
     "tetrad_component",
     "operator_tetrad",
     "coherent_state",
-    "coherent_bilinear_value",
     "expectation",
     "tetrad_expectations",
 ]
@@ -671,42 +672,51 @@ def operator_tetrad(space: FockSpace) -> OperatorTetrad:
     return OperatorTetrad(*(tuple(comp.get(_TETRAD_ROWS.get(f"{v}{mu}"), zero) for mu in range(4)) for v in "tzxy"))
 
 
+def _coherent_moments(alphas: np.ndarray, r1: float) -> np.ndarray:
+    """Read-only (4, 4) M_rs = r1 conj(alpha_r) alpha_s + delta_rs / 2: the moments
+    of the coherent state of mode amplitudes alphas, truncated at cutoff C with
+    r1 = E_{C-1}(I) / E_C(I) (see coherent_state), and untruncated with r1 = 1."""
+    alphas = alphas + 0.0  # no -0.0 part reaches the products' signs
+    moments = r1 * np.multiply.outer(np.conj(alphas), alphas)
+    moments.reshape(-1)[:: N_MODES + 1] += 0.5
+    moments.setflags(write=False)
+    return moments
+
+
 def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> np.ndarray:
-    """Normalized truncated coherent state with mode amplitudes scale * u_r.
+    """Normalized truncated coherent state with mode amplitudes alpha = scale * u.
 
-    The weight the truncation discards from the untruncated state is the
-    Poisson tail of the total intensity sum_r |alpha_r|^2; if that deficit
+    With I = sum_r |alpha_r|^2 and E_k(I) = sum_{n<=k} I^n / n!, the coefficients
+    kept at cutoff C have norm^2 E_C(I) (Glauber), so one closed form gates the
+    state, normalises it and gives its moments.  The truncation discards the
+    Poisson tail 1 - E_C(I) e^-I of the untruncated weight; if that deficit
     exceeds MAX_DEFICIT or is not finite (a NaN amplitude, an overflowing
-    weight) the state is refused as TruncationTooLossyError.  A non-finite scale
-    is refused as ValueError.
+    intensity) the state is refused as TruncationTooLossyError, before any pass
+    over the basis.  A non-finite scale is refused as ValueError.
 
-    The state is complex128 and frozen: its buffer is an immutable bytes
-    object, so setflags(write=True) raises on it.  The space keeps its
-    moments, in closed form from the amplitudes with no pass over the basis,
-    and its ten tetrad values, so the expectations of all components on it
-    cost one 4x4 moment matrix and one contraction.
+    The state is complex128, scaled by 1 / sqrt(E_C(I)), and frozen: its buffer
+    is an immutable bytes object, so setflags(write=True) raises on it.  The
+    space keeps its closed-form moments and its ten tetrad values, so the
+    expectations of all components on it cost one contraction.
     """
     scale = float(scale)
     if not math.isfinite(scale):
         raise ValueError(f"coherent scale {scale!r} is not finite")
-    powers, roots, (product_index, n4) = space._coherent_tables()
-    # huge or non-finite amplitudes overflow here into a NaN deficit, which
-    # the gate refuses
+    # an overflow or a NaN here or in the intensity gives a deficit the gate refuses
     with np.errstate(over="ignore", invalid="ignore"):
         alphas = scale * amps.as_array()
-        # row r-1 holds alpha_r^n / sqrt(n!)
-        terms = alphas[:, None] ** powers / roots
-        # ((t1 t2) t3) t4 per basis state: the first three from one table
-        coeffs = np.multiply.outer(np.multiply.outer(terms[0], terms[1]), terms[2]).take(product_index)
-        coeffs *= terms[3].take(n4)
-        norm_sq = float(np.vdot(coeffs, coeffs).real)
     a1, a2, a3, a4 = alphas.tolist()
     try:
         # summed in mode order, bit for bit numpy's sum of np.abs(alphas) ** 2
         intensity = abs(a1) * abs(a1) + abs(a2) * abs(a2) + abs(a3) * abs(a3) + abs(a4) * abs(a4)
     except OverflowError:  # a finite |alpha_r| beyond the largest float
         intensity = math.inf
-    deficit = 1.0 - norm_sq * math.exp(-intensity)
+    # E_C(I), and its last term t_C = I^C / C!
+    term = partial = 1.0
+    for n in range(1, space.cutoff + 1):
+        term *= intensity / n
+        partial += term
+    deficit = 1.0 - partial * math.exp(-intensity)
     if not math.isfinite(deficit):
         raise TruncationTooLossyError(
             f"truncation deficit is {deficit}: the coherent amplitudes "
@@ -716,47 +726,20 @@ def coherent_state(space: FockSpace, amps: BispinorAmplitudes, scale: float) -> 
         raise TruncationTooLossyError(
             f"truncation discards {deficit:.3e} of the state weight, above {MAX_DEFICIT}"
         )
+    powers, roots, (product_index, n4) = space._coherent_tables()
+    # row r-1 holds alpha_r^n / sqrt(n!)
+    terms = alphas[:, None] ** powers / roots
+    # ((t1 t2) t3) t4 per basis state: the first three from one table
+    coeffs = np.multiply.outer(np.multiply.outer(terms[0], terms[1]), terms[2]).take(product_index)
+    coeffs *= terms[3].take(n4)
     # numpy divides by s + 0j as part * (1/s), so the bits match but for a zero's sign
     parts = coeffs.view(float)
-    parts *= 1.0 / math.sqrt(norm_sq)
+    parts *= 1.0 / math.sqrt(partial)
     state = _frozen_state(coeffs)
-    # a_s P<=C = P<=C-1 a_s, so M_rs = r1 conj(alpha_r) alpha_s + delta_rs / 2 with
-    # r1 = E_{C-1}(I) / E_C(I) = 1 - t_C / E_C, t_C = I^C / C! the last term of E_C
-    term = partial = 1.0
-    for n in range(1, space.cutoff + 1):
-        term *= intensity / n
-        partial += term
-    alphas = alphas + 0.0  # no -0.0 part reaches the products' signs
-    moments = (1.0 - term / partial) * np.multiply.outer(np.conj(alphas), alphas)
-    moments.reshape(-1)[:: N_MODES + 1] += 0.5
-    moments.setflags(write=False)
+    # a_s P<=C = P<=C-1 a_s, so r1 = E_{C-1}(I) / E_C(I) = 1 - t_C / E_C
+    moments = _coherent_moments(alphas, 1.0 - term / partial)
     space._memo = state, moments, _tetrad_values(moments)
     return state
-
-
-def coherent_bilinear_value(amps: BispinorAmplitudes, scale: float, terms) -> complex:
-    """Analytic coherent-state expectation of a tau combination.
-
-    For coherent amplitudes alpha_r, <tau_rs> = conj(alpha_r) alpha_s plus
-    the zero-point 1/2 on the diagonal; truncation error is not included.
-    The modes r and s of each (coeff, r, s) term are integers 1..4; anything
-    else raises BadModeError.  A non-finite scale, and a value that is not
-    finite (a NaN coefficient or amplitude, an overflowing moment), raise
-    ValueError.
-    """
-    scale = float(scale)
-    if not math.isfinite(scale):
-        raise ValueError(f"coherent scale {scale!r} is not finite")
-    total = 0.0 + 0.0j
-    # an overflow or a NaN shows in the total, which the check below refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        alphas = scale * amps.as_array()
-        for coeff, r, s in terms:
-            moment = np.conj(alphas[_mode_index(r)]) * alphas[_mode_index(s)]
-            total += coeff * (moment + (0.5 if r == s else 0.0))
-    if not cmath.isfinite(total):
-        raise ValueError(f"coherent bilinear value {complex(total)!r} is not finite")
-    return complex(total)
 
 
 def expectation(op: SparseOperator, state) -> complex:

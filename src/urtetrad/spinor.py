@@ -244,9 +244,10 @@ def dyad_from_element(g: GroupElement) -> Dyad:
 
 def random_s3_point(rng: np.random.Generator) -> QuaternionPoint:
     """Uniform point on S^3: four standard normals, normalized."""
-    v = rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    return QuaternionPoint(*v)
+    w, x, y, z = rng.standard_normal(4).tolist()
+    # written out, as _on_sphere sums it, so no BLAS kernel rounds the draw
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    return QuaternionPoint(w / norm, x / norm, y / norm, z / norm)
 
 
 def random_group_element(rng: np.random.Generator) -> GroupElement:

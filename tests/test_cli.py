@@ -468,13 +468,15 @@ PAIR = ("-0.6", "-0.0", "-0.48", "0.64", "-0.7")
 # sha256 of the --expect-coherent stdout of every operator in OPERATORS at
 # PAIR and verify's scale for the cutoff, recorded when the space kept a
 # coherent state's moments in closed form (all but cutoff 0 moved then, in
-# the last bits of "expectation" and "abs_diff")
+# the last bits of "expectation" and "abs_diff"), and re-recorded when the
+# tau and t0 comparison became C contracted with the untruncated moments
+# (the last bits of their "classical" and "abs_diff" moved)
 EXPECT_COHERENT_SHA256 = {
-    0: "cbc47b34edca12b8561dc5b0b930c2e3ec4ed82d6bf07daa535ed0faeabd5694",
-    1: "df5559436cc380d1d7f36fc5303162aa63be667bc310da073811b21cbbf40772",
-    4: "c4c030a8c9a858ca16a3d222d0a0c67b6ca7a8fd9f0b7ee702d1c921ef890f5e",
-    12: "13082e294819d534b24083954f5442b1e37a519f37dadf6e638b6e00fb9fe269",
-    30: "790304641a23f52b3585a3e7eb93aa4a88c9f785f80e7386c3679e160aa71c21",
+    0: "b2b756883cd97eb3ea8479a6f0d7133c232190a92dc55550077208c8bd7d22a7",
+    1: "dc1c62f755d506c4d88b96f0b7be3c5fd3df85e8900e79288fccdb72bf7dddbe",
+    4: "56f2df87e9db86fc9022bfee9f0ca018808bf299389a408bd5700534d6323147",
+    12: "0d6cb96248a5d07ca86d7880d4b2f41dc415d5ce4d7e7ecb98b9a16028fa3d27",
+    30: "723acdeb8042cae535df90188c7bf9a054a767730f5d2348cfe1e92a411d7001",
 }
 
 

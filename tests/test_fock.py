@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import math
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from urtetrad.fock import (
     SparseOperator,
     TruncationTooLossyError,
     _rank,
-    coherent_bilinear_value,
     coherent_state,
     expectation,
     operator_tetrad,
@@ -127,45 +128,6 @@ def test_an_integral_float_mode_is_that_mode(cutoff):
             space.annihilator(r)
         with pytest.raises(BadModeError):
             space.tau(r, 2)
-
-
-def test_coherent_bilinear_value_refuses_a_bad_mode():
-    amps = BispinorAmplitudes(1, 2, 3, 4)
-    # no mode outside 1..4 may wrap round to another mode's amplitude
-    for r in (0, -1, 5, 1.5, math.nan, 1 + 0j, np.array([1, 2])):
-        for terms in (((1.0, r, r),), ((1.0, 1, r),), ((1.0, r, 1),)):
-            with pytest.raises(BadModeError):
-                coherent_bilinear_value(amps, 1.0, terms)
-    assert coherent_bilinear_value(amps, 1.0, ((1.0, 2.0, 2),)) == coherent_bilinear_value(amps, 1.0, ((1.0, 2, 2),))
-
-
-@pytest.mark.parametrize(
-    "scale, terms",
-    [
-        (math.nan, ((1.0, 1, 2),)),
-        (math.inf, ((1.0, 1, 2),)),
-        (-math.inf, ((1.0, 3, 3),)),
-        (1e200, ((1.0, 1, 2),)),
-        (1e200, ((0.5, 4, 4),)),
-        (1.0, ((math.nan, 1, 2),)),
-        (1.0, ((complex(0.0, math.inf), 2, 2),)),
-    ],
-)
-def test_coherent_bilinear_value_refuses_what_is_not_finite(scale, terms):
-    # as coherent_state does: a ValueError, and no RuntimeWarning (an error here) before it
-    amps = BispinorAmplitudes.from_element(GroupElement(0.6, 0.8j))
-    with pytest.raises(ValueError, match="not finite"):
-        coherent_bilinear_value(amps, scale, terms)
-
-
-@settings(max_examples=300, deadline=None)
-@given(amps=st.lists(EDGE_COMPLEX, min_size=4, max_size=4), scale=EDGE_FLOATS)
-def test_coherent_bilinear_value_refuses_or_is_finite(amps, scale):
-    try:
-        value = coherent_bilinear_value(BispinorAmplitudes(*amps), scale, TETRAD_BILINEARS["x3"])
-    except ValueError:
-        return
-    assert math.isfinite(value.real) and math.isfinite(value.imag)
 
 
 def test_annihilator_frozen_cutoff1():
@@ -916,6 +878,35 @@ def test_coherent_truncation_rejected():
     amps = BispinorAmplitudes.from_element(GroupElement(1, 0))
     with pytest.raises(TruncationTooLossyError):
         coherent_state(space, amps, 2.0)
+    # the gate reads the amplitudes alone: a refused scale builds no table
+    assert space._coherent is None and space._memo is None
+
+
+def _poisson_tail(intensity, cutoff):
+    """sum_{n > cutoff} e^-I I^n / n!, term by term in logs, summed exactly."""
+    log_i = math.log(intensity)
+    return math.fsum(math.exp(n * log_i - intensity - math.lgamma(n + 1)) for n in range(cutoff + 1, cutoff + 400))
+
+
+def _intensity_with_tail(tail, cutoff):
+    """The intensity whose Poisson tail above cutoff is tail, by bisection."""
+    lo, hi = 1e-30, 100.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _poisson_tail(mid, cutoff) < tail else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 4, 12, 30])
+def test_the_gate_is_the_poisson_tail(cutoff):
+    # (1, 0, 0, 1) e^{i phi}: total intensity 2 scale^2
+    amps = BispinorAmplitudes.from_element(GroupElement(1, 0, 0.4))
+    admitted, refused = (math.sqrt(_intensity_with_tail(f * fock.MAX_DEFICIT, cutoff) / 2) for f in (0.5, 2.0))
+    space = FockSpace(cutoff)
+    state = coherent_state(space, amps, admitted)
+    assert abs(math.fsum(np.abs(state) ** 2) - 1.0) < 1e-12
+    with pytest.raises(TruncationTooLossyError, match="truncation discards"):
+        coherent_state(space, amps, refused)
 
 
 @pytest.mark.parametrize(
@@ -979,7 +970,7 @@ def test_classical_limit_small_sweep():
                 want = 0.25 * classical[name[0]][int(name[1])]
                 assert abs(val - want) < 1e-6
             # matrix expectation also agrees with the analytic moment formula
-            analytic = coherent_bilinear_value(amps, 0.5, TETRAD_BILINEARS[name])
+            analytic = (op.coefficients * fock._coherent_moments(0.5 * amps.as_array(), 1.0)).sum()
             assert abs(val - analytic) < 1e-6
 
 
@@ -1159,22 +1150,53 @@ def test_from_diagonal_edges():
 
 # sha256 of the coherent-state bytes of three seeded draws at cutoffs 4 and
 # 30, recorded before the coherent state was gathered from one product
-# table and frozen, and of the 16 expectation values at cutoff 30 on two
-# seeded coherent states, re-recorded when the space kept a coherent
-# state's moments in closed form instead of gathering them
-COHERENT_STATE_SHA256 = "712bb32d661d3b006109d38fcc0410f43340e4221493dc0f25b34780305431b8"
+# table and frozen and re-recorded when the state was normalised by
+# 1/sqrt(E_C(I)) and the draws without BLAS, and of the 16 expectation
+# values at cutoff 30 on two seeded coherent states, re-recorded when the
+# space kept a coherent state's moments in closed form instead of gathering
+# them
+COHERENT_STATE_SHA256 = "0dbafbe9addbe68071e234db61b3226767b9a9f44ce1c8314db964f629ce91d4"
 CUTOFF30_EXPECTATION_SHA256 = "a978667e47ce6a5d07ac4a082ab3a336a9f87bc417d3a96bb26ec7fdaee62d6d"
 
 
-def test_coherent_state_bytes_pinned():
-    digest = hashlib.sha256()
-    for cutoff, scale in ((4, 0.1), (30, 0.5)):
-        space = FockSpace(cutoff)
-        rng = np.random.default_rng(cutoff)
-        for _ in range(3):
-            amps = BispinorAmplitudes.from_element(random_group_element(rng))
-            digest.update(coherent_state(space, amps, scale).tobytes())
-    assert digest.hexdigest() == COHERENT_STATE_SHA256
+# the digest of three seeded coherent states each at cutoffs 4 and 30, then
+# one --expect-coherent stdout, printed; BLAS serves neither path
+COHERENT_PROBE = """
+import hashlib
+import numpy as np
+from urtetrad.cli import main
+from urtetrad.fock import BispinorAmplitudes, FockSpace, coherent_state
+from urtetrad.spinor import random_group_element
+digest = hashlib.sha256()
+for cutoff, scale in ((4, 0.1), (30, 0.5)):
+    space = FockSpace(cutoff)
+    rng = np.random.default_rng(cutoff)
+    for _ in range(3):
+        amps = BispinorAmplitudes.from_element(random_group_element(rng))
+        digest.update(coherent_state(space, amps, scale).tobytes())
+print(digest.hexdigest())
+main(["fock", "--cutoff", "30", "--op", "t0", "--expect-coherent", "0.6", "0", "0", "0.8", "0.3", "0.5"])
+"""
+
+
+def _coherent_probe(capsys) -> str:
+    exec(COHERENT_PROBE, {})
+    return capsys.readouterr().out
+
+
+def test_coherent_state_bytes_pinned(capsys):
+    assert _coherent_probe(capsys).splitlines()[0] == COHERENT_STATE_SHA256
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott", "SandyBridge"])
+def test_coherent_state_bytes_do_not_depend_on_the_blas_kernel(capsys, child_env, kernel):
+    # the kernel is forced in the child alone
+    proc = subprocess.run(
+        [sys.executable, "-c", COHERENT_PROBE], capture_output=True, text=True, timeout=120,
+        env={**child_env, "OPENBLAS_CORETYPE": kernel},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _coherent_probe(capsys)
 
 
 def test_cutoff30_expectations_pinned():
@@ -1579,8 +1601,10 @@ def test_an_earlier_coherent_state_and_a_frozen_copy_are_gathered_within_1e_12(m
 # cutoffs 0, 1, 4 and 12, recorded as ten per-component contractions
 # (C * space.moments(state)).sum() before the values came from one tensor,
 # and re-recorded when the space kept the last coherent state's moments in
-# closed form (the first coherent state of each cutoff is still gathered)
-TETRAD_EXPECTATIONS_SHA256 = "9eeb2738a9e72c4fdfa39cc3109f2e35f400132773fad6024abbafbb4e9806cd"
+# closed form (the first coherent state of each cutoff is still gathered),
+# and again when the state was normalised by 1/sqrt(E_C(I)) and the draws
+# without BLAS
+TETRAD_EXPECTATIONS_SHA256 = "fb39515b1090d0bee352d92bd3a407f254d4d510aaf1a3abdbe058a67b557730"
 
 
 def test_tetrad_expectations_pinned():

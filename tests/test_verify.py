@@ -106,6 +106,16 @@ def _shift_kept(orig, delta):
     return fake
 
 
+def _power_roots(orig, power):
+    """FockSpace._coherent_tables with its root factorials sqrt(n!) raised to power."""
+
+    def fake(space):
+        powers, roots, index = orig(space)
+        return powers, roots**power, index
+
+    return fake
+
+
 def _late(make):
     """`make`'s fault, spared on the first sample so that the first deviation is finite.
 
@@ -151,6 +161,8 @@ FAULTS = {
     ),
     # far inside the classical tolerance, and the same on both states of a draw
     "kept_entry": (fock, "coherent_state", _shift_kept, 1e-10, {"coherent_entry_matches_gather"}),
+    # coherent weights 1/n!: the gate reads E_C(I), not the coefficients, so it admits the state
+    "coherent_weights": (fock.FockSpace, "_coherent_tables", _power_roots, 2, {"coherent_entry_matches_gather"}),
     "raise_index": (spinor, "raise_index", _scale_c1, 1 + 1e-15, {"raise_lower_roundtrip"}),
     "from_quaternion_phi": (spinor, "from_quaternion", _shift_phi, 1e-12, {"chart_roundtrip"}),
 }
@@ -194,17 +206,18 @@ def test_run_verification_rejects_bad_input(flag, value):
 # moved to the moment matrix, which changed the last bits of
 # coherent_phase_covariance alone, and again when a coherent state kept
 # closed-form moments, which moved the last bits of the fock suite's
-# coherent records and appended coherent_entry_matches_gather; a refactor
-# that keeps the draw order and the summation order keeps these bytes.  The
-# tetrad entry is the README's example, recorded before the tetrad suite
-# moved to stacked calls.
+# coherent records and appended coherent_entry_matches_gather, and again
+# when random_s3_point normalised its draw without BLAS, which moved every
+# value after the first S^3 draw, and the coherent state was normalised by
+# 1/sqrt(E_C(I)); a refactor that keeps the draw order and the summation
+# order keeps these bytes.  The tetrad entry is the README's example.
 STDOUT_PINS = {
     ("--samples", "50", "--seed", "3", "--cutoff", "2"):
-        "73dcfe2567a81c0ce63b3d54405d9f749b5a1aebe140a00387fc70b06fcb28dd",
+        "8b1ef0b4a0856dd4c75ee1f7ee104d16fe4c897b8e78fcf42919d1b13616f942",
     ("--suite", "fock", "--samples", "30", "--seed", "11", "--cutoff", "6"):
-        "eac7ac74d69c305e23976d6be4db2bdc14833e59575d0503fe743973bbd3eeaa",
+        "8290c99d30ae84a891f15e435a2153f33eaaf2258562d76f4e5ba0d7be6deefc",
     ("--suite", "tetrad", "--samples", "1000", "--seed", "7"):
-        "4c4d189fea77ebff4b2d640061b9c98618091ed4a8c3ad8534f7550ca533f5a5",
+        "8ae5210b0e7ee0887002f79dd24b3ae380479e75b143452aa996743815fc6815",
 }
 
 
