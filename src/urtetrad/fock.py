@@ -311,30 +311,10 @@ def _occupations(cutoff: int) -> np.ndarray:
     return np.vstack((triples.take(which, axis=1), shell - sums[which])).T
 
 
-# C(n, k) for k <= 4 and n <= T + 4 <= 71: MAX_STATES caps the cutoff at 67
-_BINOMIAL = np.array([[math.comb(n, k) for k in range(N_MODES + 1)] for n in range(72)])
+# C(n, k) for k <= 3 and n <= T + 4 <= 70, T the total of a row _lowering raises:
+# MAX_STATES caps the cutoff at 67, and those rows lie below it
+_BINOMIAL = np.array([[math.comb(n, k) for k in range(N_MODES)] for n in range(71)])
 _BINOMIAL.setflags(write=False)
-
-
-def _rank(occ) -> np.ndarray:
-    """Basis positions of (N, 4) occupation rows, in closed form.
-
-    The combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): with total
-    T and rest R = T - n1, the position is
-    C(T+4, 4) - C(R+3, 3) + C(R+2, 2) - C(R-n2+2, 2) + n3, i.e. all states
-    up to shell T, less those of shell T whose n1 is not smaller, plus
-    those with this n1 and a smaller n2, plus n3.  Each C is read from
-    _BINOMIAL, so rows must lie in an admitted basis; nothing checks that.
-    """
-    n1, n2, n3, n4 = np.asarray(occ, dtype=np.int64).T
-    rest = n2 + n3 + n4
-    return (
-        _BINOMIAL[rest + n1 + 4, 4]
-        - _BINOMIAL[rest + 3, 3]
-        + _BINOMIAL[rest + 2, 2]
-        - _BINOMIAL[rest - n2 + 2, 2]
-        + n3
-    )
 
 
 def _frozen_state(state: np.ndarray) -> np.ndarray:
@@ -391,12 +371,14 @@ class FockSpace:
     def _lowering(self):
         """Read-only (positions, weights), each (4, D'):
         (a_r psi)[m] = weights[r-1, m] * psi[positions[r-1, m]], where
-        positions[k, m] is the rank of m + e_k and weights[k, m] is
+        positions[k, m] is the basis position of m + e_k and weights[k, m] is
         sqrt(m_k + 1).  m runs over the basis of cutoff - 1, the first D'
-        rows of the basis, so the ranks follow from m's own rank i and two
-        per-shell offsets: with total T and R = T - n1 (see _rank), m + e1
-        is at i + C(T+4, 3) and, with s = i + C(T+4, 3) - C(R+3, 2), m + e2
-        at s + R + 2, m + e3 at s + n2 + 1 and m + e4 at s + n2."""
+        rows of the basis, so each position is m's own position i plus a
+        per-shell offset of the combinatorial number system (Knuth, TAOCP 4A,
+        7.2.1.3): with total T and R = T - n1, m + e1 is at i + C(T+4, 3)
+        (shell T and the n1 = 0 states of shell T + 1 lie between) and, with
+        s = i + C(T+4, 3) - C(R+3, 2), m + e2 is at s + R + 2, m + e3 at
+        s + n2 + 1 and m + e4 at s + n2."""
         if self._lowered is None:
             n1, n2, n3, n4 = below = self.occupations[: math.comb(self.cutoff - 1 + N_MODES, N_MODES)].T
             rest = n2 + n3 + n4
@@ -442,15 +424,10 @@ class FockSpace:
     def index_of(self, state) -> int:
         """Basis position of an occupation tuple; KeyError if it is not in the basis."""
         occ = np.asarray(state, dtype=float)
-        inside = (
-            occ.shape == (N_MODES,)
-            and np.all(occ == np.floor(occ))
-            and occ.min() >= 0
-            and occ.sum() <= self.cutoff
-        )
-        if not inside:
+        found = np.flatnonzero((self.occupations == occ).all(axis=1)) if occ.shape == (N_MODES,) else ()
+        if not len(found):
             raise KeyError(tuple(state))
-        return int(_rank(occ[None, :])[0])
+        return int(found[0])
 
     def safe_indices(self) -> np.ndarray:
         """Indices of states with total quanta below the cutoff.

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edges import EDGE_COMPLEX, EDGE_FLOATS
@@ -24,7 +24,6 @@ from urtetrad.fock import (
     FockSpace,
     SparseOperator,
     TruncationTooLossyError,
-    _rank,
     coherent_state,
     expectation,
     operator_tetrad,
@@ -55,24 +54,48 @@ def test_dimension_matches_enumeration(cutoff, dim):
 
 
 def test_basis_index_roundtrip():
+    for cutoff in range(9):
+        space = FockSpace(cutoff)
+        for i, state in enumerate(space.occupations):
+            assert space.index_of(state) == i
+
+
+# integer-valued floats from -1 up past the cutoff, with fractions, signed
+# zeros and non-finite values among them, in tuples of 0 to 6
+OCCUPATION_TUPLES = st.lists(
+    st.one_of(st.integers(-1, 5).map(float), st.sampled_from([0.5, 1.9, -0.0, math.nan]), EDGE_FLOATS),
+    max_size=6,
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(occ=OCCUPATION_TUPLES)
+@example(occ=(0, 0, 0, -1))
+@example(occ=(13, 0, 0, 0))
+@example(occ=(3, 4, 6, 0))
+@example(occ=(0, 0, 0))
+@example(occ=(1.9, 0, 0, 0))
+@example(occ=(0.5, 0, 0, 0))
+@example(occ=(0, 0, 0, math.nan))
+def test_index_of_finds_the_row_or_raises_key_error(occ):
     space = FockSpace(3)
-    for i, state in enumerate(space.occupations):
-        assert space.index_of(state) == i
-
-
-def test_closed_form_rank_matches_basis_order():
-    space = FockSpace(12)
-    np.testing.assert_array_equal(_rank(space.occupations), np.arange(space.dimension))
-    for outside in ((0, 0, 0, -1), (13, 0, 0, 0), (3, 4, 6, 0), (0, 0, 0),
-                    (1.9, 0, 0, 0), (0.5, 0, 0, 0), (0, 0, 0, math.nan)):
+    if occ in set(brute_force_basis(3)):
+        i = space.index_of(occ)
+        assert type(i) is int and space.occupations[i].tolist() == list(occ)
+    else:
         with pytest.raises(KeyError):
-            space.index_of(outside)
+            space.index_of(occ)
 
 
 def test_largest_cutoff_rank_matches_basis_order():
     space = FockSpace(67)  # binomial(71, 4) = 971635, the largest under MAX_STATES
-    assert space.dimension == 971635
-    np.testing.assert_array_equal(_rank(space.occupations), np.arange(space.dimension))
+    occ = space.occupations
+    assert space.dimension == len(occ) == 971635
+    assert occ.min() == 0 and occ.sum(axis=1).max() == 67
+    # (total, n1, n2, n3) rises strictly: each step's first nonzero difference is positive,
+    # so the rows are distinct basis states, as many as the basis holds, in its order
+    steps = np.diff(np.column_stack((occ.sum(axis=1), occ[:, :3])), axis=0)
+    assert (steps[np.arange(len(steps)), (steps != 0).argmax(axis=1)] > 0).all()
 
 
 def test_cutoff_bound():
@@ -563,7 +586,7 @@ def test_lowering_table_matches_the_rank_beyond_the_pins(cutoff):
     for k in range(4):
         raised = below.copy()
         raised[:, k] += 1
-        np.testing.assert_array_equal(positions[k], _rank(raised))
+        np.testing.assert_array_equal(space.occupations[positions[k]], raised)
         assert weights[k].tobytes() == np.sqrt(below[:, k] + 1.0).tobytes()
 
 
