@@ -470,13 +470,16 @@ PAIR = ("-0.6", "-0.0", "-0.48", "0.64", "-0.7")
 # coherent state's moments in closed form (all but cutoff 0 moved then, in
 # the last bits of "expectation" and "abs_diff"), and re-recorded when the
 # tau and t0 comparison became C contracted with the untruncated moments
-# (the last bits of their "classical" and "abs_diff" moved)
+# (the last bits of their "classical" and "abs_diff" moved), and again when
+# the diagonal moments became exactly real (the imaginary parts of the t0 and
+# tau(r, r) "expectation" and "classical" moved to 0, and with them two
+# "abs_diff" values)
 EXPECT_COHERENT_SHA256 = {
-    0: "b2b756883cd97eb3ea8479a6f0d7133c232190a92dc55550077208c8bd7d22a7",
-    1: "dc1c62f755d506c4d88b96f0b7be3c5fd3df85e8900e79288fccdb72bf7dddbe",
-    4: "56f2df87e9db86fc9022bfee9f0ca018808bf299389a408bd5700534d6323147",
-    12: "0d6cb96248a5d07ca86d7880d4b2f41dc415d5ce4d7e7ecb98b9a16028fa3d27",
-    30: "723acdeb8042cae535df90188c7bf9a054a767730f5d2348cfe1e92a411d7001",
+    0: "db4bcfb4403aa5022b257c2fe90ea4b8b5975cf50b5ddb005fa2520a9b7edced",
+    1: "6358b1ac39c55400a264a8224291aa2f01f584f0f145070bf6d90cddddd2f390",
+    4: "d797758193b7158c848ab88453b5aefc2caec37661394955bd55f6243e043b55",
+    12: "3aaaadf0083b341da35ebbf8c622289ce895003047962e83e409d6627b5a4e93",
+    30: "c262e67a38a07c5d721fa6982872b9578da0578f5c8cb7c1a8fbe2f8401be772",
 }
 
 

@@ -864,6 +864,23 @@ def test_truncated_coherent_moments_match_the_closed_form(cutoff):
             assert np.abs(got - want).max() < 1e-12, (cutoff, amps)
 
 
+@pytest.mark.parametrize("cutoff", [0, 1, 4, 12, 30])
+def test_coherent_diagonal_moments_are_exactly_real(cutoff):
+    # <tau_rr> = r1 |alpha_r|^2 + 1/2 is real, so no rounding of the complex
+    # product conj(alpha_r) alpha_r may leave an imaginary part on the kept
+    # diagonal, on a copy's gathered one, or on the values read from them
+    space = FockSpace(cutoff)
+    scale = _coherent_scale_for_cutoff(cutoff)
+    rng = np.random.default_rng(500 + cutoff)
+    ops = [tetrad_component(space, "t0"), tetrad_component(space, "z3"), *(space.tau(r, r) for r in MODES)]
+    for _ in range(20):
+        amps = BispinorAmplitudes.from_element(random_group_element(rng))
+        state = coherent_state(space, amps, scale)
+        for copy in (state, np.array(state)):
+            assert not np.diagonal(space.moments(copy)).imag.any(), (cutoff, amps)
+            assert [expectation(op, copy).imag for op in ops] == [0.0] * len(ops), (cutoff, amps)
+
+
 @pytest.mark.parametrize("cutoff", [0, 1, 4, 6])
 def test_time_component_commutes_exactly_with_every_component(cutoff):
     # t0 is constant on each shell and every component keeps the shell
@@ -1177,9 +1194,10 @@ def test_from_diagonal_edges():
 # 1/sqrt(E_C(I)) and the draws without BLAS, and of the 16 expectation
 # values at cutoff 30 on two seeded coherent states, re-recorded when the
 # space kept a coherent state's moments in closed form instead of gathering
-# them
+# them, and again when the kept diagonal moments became exactly real (the
+# imaginary parts of the t0, z3 and tau(r, r) values moved to 0)
 COHERENT_STATE_SHA256 = "0dbafbe9addbe68071e234db61b3226767b9a9f44ce1c8314db964f629ce91d4"
-CUTOFF30_EXPECTATION_SHA256 = "a978667e47ce6a5d07ac4a082ab3a336a9f87bc417d3a96bb26ec7fdaee62d6d"
+CUTOFF30_EXPECTATION_SHA256 = "7a750ee8137b012487fbde3a555976577af0963beb24e885ced9449cd7fb9887"
 
 
 # the digest of three seeded coherent states each at cutoffs 4 and 30, then
@@ -1626,8 +1644,8 @@ def test_an_earlier_coherent_state_and_a_frozen_copy_are_gathered_within_1e_12(m
 # and re-recorded when the space kept the last coherent state's moments in
 # closed form (the first coherent state of each cutoff is still gathered),
 # and again when the state was normalised by 1/sqrt(E_C(I)) and the draws
-# without BLAS
-TETRAD_EXPECTATIONS_SHA256 = "fb39515b1090d0bee352d92bd3a407f254d4d510aaf1a3abdbe058a67b557730"
+# without BLAS, and when the kept diagonal moments became exactly real
+TETRAD_EXPECTATIONS_SHA256 = "43877c8a5fc7c76fbe5fd9066beced56bd50e46778c0931397d85e272475f66e"
 
 
 def test_tetrad_expectations_pinned():

@@ -209,13 +209,15 @@ def test_run_verification_rejects_bad_input(flag, value):
 # coherent records and appended coherent_entry_matches_gather, and again
 # when random_s3_point normalised its draw without BLAS, which moved every
 # value after the first S^3 draw, and the coherent state was normalised by
-# 1/sqrt(E_C(I)); a refactor that keeps the draw order and the summation
-# order keeps these bytes.  The tetrad entry is the README's example.
+# 1/sqrt(E_C(I)), and again when the kept diagonal moments became exactly
+# real, which moved the last bits of the coherent records; a refactor that
+# keeps the draw order and the summation order keeps these bytes.  The
+# tetrad entry is the README's example.
 STDOUT_PINS = {
     ("--samples", "50", "--seed", "3", "--cutoff", "2"):
-        "8b1ef0b4a0856dd4c75ee1f7ee104d16fe4c897b8e78fcf42919d1b13616f942",
+        "ff1b7a224db13012affb6caf7d433fa252c7db6a98d82e791f51c9180a82c586",
     ("--suite", "fock", "--samples", "30", "--seed", "11", "--cutoff", "6"):
-        "8290c99d30ae84a891f15e435a2153f33eaaf2258562d76f4e5ba0d7be6deefc",
+        "a585c0b46c1cf0547b323011a3df352c68a48686a3141faba2e24c229878268a",
     ("--suite", "tetrad", "--samples", "1000", "--seed", "7"):
         "8ae5210b0e7ee0887002f79dd24b3ae380479e75b143452aa996743815fc6815",
 }
