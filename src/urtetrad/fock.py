@@ -653,8 +653,8 @@ def _coherent_moments(alphas: np.ndarray, r1: float) -> np.ndarray:
     """Read-only (4, 4) M_rs = r1 conj(alpha_r) alpha_s + delta_rs / 2: the moments
     of the coherent state of mode amplitudes alphas, truncated at cutoff C with
     r1 = E_{C-1}(I) / E_C(I) (see coherent_state), and untruncated with r1 = 1.
-    The diagonal is exactly real: a fused complex multiply may round
-    conj(alpha_r) alpha_r with an imaginary part, which it drops."""
+    The diagonal is written as its real part plus 1/2, as numpy's fused
+    complex multiply may round conj(alpha_r) alpha_r with an imaginary part."""
     alphas = alphas + 0.0  # no -0.0 part reaches the products' signs
     moments = r1 * np.multiply.outer(np.conj(alphas), alphas)
     moments.reshape(-1)[:: N_MODES + 1] = np.diagonal(moments).real + 0.5

@@ -1195,7 +1195,7 @@ def test_from_diagonal_edges():
 # values at cutoff 30 on two seeded coherent states, re-recorded when the
 # space kept a coherent state's moments in closed form instead of gathering
 # them, and again when the kept diagonal moments became exactly real (the
-# imaginary parts of the t0, z3 and tau(r, r) values moved to 0)
+# imaginary parts of the t0 and z3 values moved to 0)
 COHERENT_STATE_SHA256 = "0dbafbe9addbe68071e234db61b3226767b9a9f44ce1c8314db964f629ce91d4"
 CUTOFF30_EXPECTATION_SHA256 = "7a750ee8137b012487fbde3a555976577af0963beb24e885ced9449cd7fb9887"
 
